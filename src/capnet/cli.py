@@ -240,7 +240,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--history-out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report metrics for a model on a dataset")

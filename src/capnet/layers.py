@@ -1,8 +1,17 @@
 """Network layers with explicit forward and backward passes.
 
 Every layer caches whatever its backward pass needs during forward; a cache
-is only valid for the immediately preceding forward call. Gradients
-accumulate into ``Parameter.grad`` so callers zero them between steps.
+is only valid for the immediately preceding forward call, and backward works
+after an inference forward too. Gradients accumulate into ``Parameter.grad``
+so callers zero them between steps.
+
+Cache lifetimes of the two large layers:
+
+- ``MaxPool2`` keeps four boolean masks, one per window corner, marking where
+  each output's gradient goes; they live until the next forward.
+- ``Conv2D`` keeps a reference to its input. After a training forward it also
+  keeps the im2col matrix, which backward reuses and frees; an inference
+  forward keeps no matrix, and backward then rebuilds it from the input.
 """
 
 import numpy as np
@@ -39,6 +48,7 @@ class Conv2D:
         )
         self.bias = Parameter(f"{name}.bias", init_weights((out_channels,), "zeros"))
         self._x = None
+        self._cols = None
 
     def parameters(self):
         return [self.weights, self.bias]
@@ -59,8 +69,11 @@ class Conv2D:
         b, _, h, w = x.shape
         self._x = x
         cols = self._im2col(x)
+        # only a training forward is followed by backward; inference keeps nothing
+        self._cols = cols if training else None
         wmat = self.weights.value.reshape(self.out_channels, -1)
-        out = matmul(cols, wmat.T) + self.bias.value
+        out = matmul(cols, wmat.T)
+        out += self.bias.value
         return out.reshape(b, h, w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dout: Tensor) -> Tensor:
@@ -68,16 +81,20 @@ class Conv2D:
         b, c, h, w = x.shape
         f = self.out_channels
         dmat = dout.transpose(0, 2, 3, 1).reshape(b * h * w, f)
-        cols = self._im2col(x)
+        cols = self._cols if self._cols is not None else self._im2col(x)
+        self._cols = None
         self.weights.grad += matmul(dmat.T, cols).reshape(f, c, 3, 3)
+        del cols
         self.bias.grad += dmat.sum(axis=0)
         dcols = matmul(dmat, self.weights.value.reshape(f, -1))
         dcols = dcols.reshape(b, h, w, c, 3, 3)
-        dxp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+        # col2im in channels-last layout, so each tap adds into a contiguous
+        # slice; same zero start and tap order as a channels-first scatter
+        dxp = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
         for ki in range(3):
             for kj in range(3):
-                dxp[:, :, ki:ki + h, kj:kj + w] += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-        return dxp[:, :, 1:1 + h, 1:1 + w]
+                dxp[:, ki:ki + h, kj:kj + w, :] += dcols[:, :, :, :, ki, kj]
+        return dxp[:, 1:1 + h, 1:1 + w, :].transpose(0, 3, 1, 2)
 
 
 class ReLU:
@@ -99,8 +116,11 @@ class ReLU:
 class MaxPool2:
     """2x2 max pooling, stride 2; trailing odd row/column dropped."""
 
+    # window corners in row-major order, which is also the tie-break order
+    _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
     def __init__(self):
-        self._arg = None
+        self._masks = None
         self._in_shape = None
 
     def parameters(self):
@@ -109,32 +129,39 @@ class MaxPool2:
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if x.ndim != 4:
             raise DimensionError(f"maxpool2 expects B x C x H x W input, got shape {x.shape}")
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h < 2 or w < 2:
             raise DimensionError(f"maxpool2 needs spatial dims >= 2, got {h}x{w}")
         h2, w2 = h // 2, w // 2
-        windows = (
-            x[:, :, : h2 * 2, : w2 * 2]
-            .reshape(b, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h2, w2, 4)
-        )
-        # argmax takes the first maximum, i.e. row-major tie-break inside the window
-        self._arg = windows.argmax(axis=4)
+        corners = [x[:, :, i:h2 * 2:2, j:w2 * 2:2] for i, j in self._CORNERS]
+        out = np.maximum(corners[0], corners[1])
+        np.maximum(out, corners[2], out=out)
+        np.maximum(out, corners[3], out=out)
+        # each output routes its gradient to the first corner, in row-major
+        # order, that holds the maximum; with finite inputs some corner always
+        # does, so the last corner takes whatever the first three left
+        masks = [corners[0] == out]
+        taken = masks[0].copy()
+        for corner in corners[1:3]:
+            mask = corner == out
+            np.greater(mask, taken, out=mask)  # mask and not taken
+            taken |= mask
+            masks.append(mask)
+        masks.append(np.logical_not(taken, out=taken))
+        self._masks = masks
         self._in_shape = x.shape
-        return np.take_along_axis(windows, self._arg[..., None], axis=4)[..., 0]
+        return out
 
     def backward(self, dout: Tensor) -> Tensor:
         b, c, h, w = self._in_shape
         h2, w2 = h // 2, w // 2
-        dwin = np.zeros((b, c, h2, w2, 4), dtype=dout.dtype)
-        np.put_along_axis(dwin, self._arg[..., None], dout[..., None], axis=4)
-        dx = np.zeros((b, c, h, w), dtype=dout.dtype)
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dwin.reshape(b, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h2 * 2, w2 * 2)
-        )
+        dx = np.empty((b, c, h, w), dtype=dout.dtype)
+        dx[:, :, h2 * 2:, :] = 0.0
+        dx[:, :, :, w2 * 2:] = 0.0
+        # a zero here may carry dout's sign (-0.0); every gradient sum
+        # downstream starts from +0.0, which absorbs it
+        for (i, j), mask in zip(self._CORNERS, self._masks):
+            np.multiply(dout, mask, out=dx[:, :, i:h2 * 2:2, j:w2 * 2:2])
         return dx
 
 

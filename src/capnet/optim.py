@@ -70,12 +70,22 @@ def bce_loss(predictions: Tensor, targets: Tensor) -> LossValue:
     return LossValue(loss, grad.astype(predictions.dtype, copy=False))
 
 
+# elements per block of the in-place Adam update: large enough to amortize the
+# per-call overhead, small enough that every temporary stays in cache
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(params: Tensor, grads: Tensor, state: AdamState, hyper: AdamHyper) -> Tensor:
     """One Adam update; mutates state (m, v, t) and returns the new parameters.
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
     mhat = m/(1-b1^t);    vhat = v/(1-b2^t)      with t the new step count
     theta = theta - lr * mhat / (sqrt(vhat) + eps)
+
+    The moments are updated in place, block by block, with the same
+    operations, order and dtypes as the whole-array formula above, so the
+    moments and the returned (freshly allocated) parameters carry the same
+    bits as that formula.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError(
@@ -84,13 +94,35 @@ def adam_step(params: Tensor, grads: Tensor, state: AdamState, hyper: AdamHyper)
         )
     state.t += 1
     t = state.t
-    state.m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grads
-    state.v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * grads * grads
-    mhat = state.m / (1.0 - hyper.beta1 ** t)
-    vhat = state.v / (1.0 - hyper.beta2 ** t)
-    update = hyper.learning_rate * mhat / (np.sqrt(vhat) + hyper.epsilon)
-    # moments run at 64-bit; keep the parameter's own precision
-    return (params - update).astype(params.dtype, copy=False)
+    b1, b2 = hyper.beta1, hyper.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    lr, eps = hyper.learning_rate, hyper.epsilon
+    m = state.m.reshape(-1)
+    v = state.v.reshape(-1)
+    p = np.ascontiguousarray(params).reshape(-1)
+    g = np.ascontiguousarray(grads).reshape(-1)
+    new = np.empty(params.shape, dtype=params.dtype)
+    out = new.reshape(-1)
+    for lo in range(0, m.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        mb, vb, gb = m[lo:hi], v[lo:hi], g[lo:hi]
+        # (1-b)*g keeps the gradient's dtype (a Python float is a weak scalar)
+        mb *= b1
+        mb += (1.0 - b1) * gb
+        g2 = (1.0 - b2) * gb
+        g2 *= gb
+        vb *= b2
+        vb += g2
+        update = mb / c1
+        update *= lr
+        denom = vb / c2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        # moments run at 64-bit; keep the parameter's own precision
+        out[lo:hi] = p[lo:hi] - update
+    return new
 
 
 def sgd_step(params: Tensor, grads: Tensor, learning_rate: float) -> Tensor:

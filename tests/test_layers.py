@@ -37,6 +37,54 @@ def conv_oracle(x, w, b):
     return out
 
 
+def conv_backward_oracle(conv, x, dout):
+    # the allocating im2col backward with a channels-first 6-D transposed
+    # scatter; returns (dx, dW, db) for one forward/backward pair
+    b, c, h, w = x.shape
+    f = conv.out_channels
+    dmat = dout.transpose(0, 2, 3, 1).reshape(b * h * w, f)
+    cols = conv._im2col(x)
+    dw = (dmat.T @ cols).reshape(f, c, 3, 3)
+    db = dmat.sum(axis=0)
+    dcols = (dmat @ conv.weights.value.reshape(f, -1)).reshape(b, h, w, c, 3, 3)
+    dxp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, :, ki:ki + h, kj:kj + w] += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+    return dxp[:, :, 1:1 + h, 1:1 + w], dw, db
+
+
+def pool_oracle(x, dout):
+    # argmax over reshaped 2x2 windows (first maximum wins) and a
+    # put_along_axis scatter; returns (out, dx)
+    b, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    windows = (
+        x[:, :, : h2 * 2, : w2 * 2]
+        .reshape(b, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, h2, w2, 4)
+    )
+    arg = windows.argmax(axis=4)
+    out = np.take_along_axis(windows, arg[..., None], axis=4)[..., 0]
+    dwin = np.zeros((b, c, h2, w2, 4), dtype=dout.dtype)
+    np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=4)
+    dx = np.zeros((b, c, h, w), dtype=dout.dtype)
+    dx[:, :, : h2 * 2, : w2 * 2] = (
+        dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2 * 2, w2 * 2)
+    )
+    return out, dx
+
+
+def _conv_of(dtype, c_in, c_out, seed):
+    conv = Conv2D(c_in, c_out, Rng(seed))
+    for p in conv.parameters():
+        p.value = p.value.astype(dtype)
+        p.grad = p.grad.astype(dtype)
+    conv.bias.value[...] = np.random.default_rng(seed).normal(size=c_out)
+    return conv
+
+
 class TestConv2D:
     def test_identity_kernel(self):
         conv = Conv2D(1, 1, Rng(0))
@@ -85,6 +133,50 @@ class TestConv2D:
         conv.forward(x)
         conv.backward(np.ones((1, 1, 4, 4)))
         assert_allclose(conv.bias.grad, 2 * g1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (3, 1, 6, 4), (1, 4, 1, 9)])
+    def test_backward_bit_identical_to_scatter_oracle(self, dtype, shape):
+        rng = np.random.default_rng(11)
+        b, c, h, w = shape
+        conv = _conv_of(dtype, c, 5, seed=3)
+        x = rng.normal(size=shape).astype(dtype)
+        dout = rng.normal(size=(b, 5, h, w)).astype(dtype)
+        conv.forward(x, training=True)
+        dx = conv.backward(dout)
+        want_dx, want_dw, want_db = conv_backward_oracle(conv, x, dout)
+        assert dx.dtype == want_dx.dtype == dtype
+        assert_array_equal(dx, want_dx)
+        assert_array_equal(conv.weights.grad, want_dw)
+        assert_array_equal(conv.bias.grad, want_db)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_in_both_modes(self, dtype):
+        rng = np.random.default_rng(12)
+        conv = _conv_of(dtype, 3, 4, seed=4)
+        x = rng.normal(size=(2, 3, 5, 6)).astype(dtype)
+        wmat = conv.weights.value.reshape(4, -1)
+        want = (conv._im2col(x) @ wmat.T + conv.bias.value).reshape(2, 5, 6, 4).transpose(0, 3, 1, 2)
+        assert_array_equal(conv.forward(x, training=True), want)
+        assert_array_equal(conv.forward(x, training=False), want)
+
+    @pytest.mark.parametrize("train_first", [True, False])
+    def test_backward_after_inference_forward(self, train_first):
+        # an inference forward keeps no im2col matrix, and must drop one an
+        # earlier training forward left, so backward sees the latest input
+        rng = np.random.default_rng(13)
+        conv = _conv_of(np.float32, 2, 3, seed=5)
+        x1 = rng.normal(size=(2, 2, 4, 5)).astype(np.float32)
+        x2 = rng.normal(size=(2, 2, 4, 5)).astype(np.float32)
+        dout = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        if train_first:
+            conv.forward(x1, training=True)
+        conv.forward(x2, training=False)
+        dx = conv.backward(dout)
+        want_dx, want_dw, want_db = conv_backward_oracle(conv, x2, dout)
+        assert_array_equal(dx, want_dx)
+        assert_array_equal(conv.weights.grad, want_dw)
+        assert_array_equal(conv.bias.grad, want_db)
 
 
 class TestReLU:
@@ -142,6 +234,51 @@ class TestMaxPool2:
         x = np.random.default_rng(7).normal(size=(2, 2, 6, 6))
         x += np.arange(x.size).reshape(x.shape) * 0.01
         assert check_layer(MaxPool2(), x)["input"] < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 2, 7, 9), (1, 3, 5, 2), (3, 1, 2, 3)])
+    def test_bit_identical_to_argmax_oracle(self, dtype, shape):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=shape).astype(dtype)
+        # post-ReLU zeros and exact ties, so the tie-break is exercised
+        x = np.maximum(np.round(x, 1), 0).astype(dtype)
+        pool = MaxPool2()
+        out = pool.forward(x, training=True)
+        dout = rng.normal(size=out.shape).astype(dtype)
+        dx = pool.backward(dout)
+        want_out, want_dx = pool_oracle(x, dout)
+        assert out.dtype == dx.dtype == dtype
+        assert_array_equal(out, want_out)
+        assert_array_equal(dx, want_dx)
+
+    def test_tie_between_second_and_third_corner_goes_to_second(self):
+        pool = MaxPool2()
+        pool.forward(np.array([[1.0, 5.0], [5.0, 2.0]]).reshape(1, 1, 2, 2), training=True)
+        dx = pool.backward(np.array([[[[3.0]]]]))
+        assert_array_equal(dx[0, 0], [[0.0, 3.0], [0.0, 0.0]])
+
+    def test_all_zero_window_goes_to_first_corner(self):
+        pool = MaxPool2()
+        pool.forward(np.zeros((1, 1, 2, 2)), training=True)
+        dx = pool.backward(np.array([[[[-2.0]]]]))
+        assert_array_equal(dx[0, 0], [[-2.0, 0.0], [0.0, 0.0]])
+
+    def test_dropped_odd_edges_get_zero_gradient(self):
+        pool = MaxPool2()
+        x = np.arange(35.0).reshape(1, 1, 5, 7)[..., ::-1, ::-1].copy()
+        pool.forward(x, training=True)
+        dx = pool.backward(np.ones((1, 1, 2, 3)))
+        assert_array_equal(dx[0, 0, 4, :], np.zeros(7))
+        assert_array_equal(dx[0, 0, :, 6], np.zeros(5))
+        assert dx.sum() == 6.0
+
+    def test_backward_after_inference_forward(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, 3, 4, 6))
+        dout = rng.normal(size=(2, 3, 2, 3))
+        pool = MaxPool2()
+        pool.forward(x, training=False)
+        assert_array_equal(pool.backward(dout), pool_oracle(x, dout)[1])
 
 
 class TestBatchNorm2d:

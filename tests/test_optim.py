@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from capnet.errors import DimensionError, ParameterError, ValidationError
 from capnet.gradcheck import fd_gradient, max_rel_error
 from capnet.optim import (
+    ADAM_BLOCK,
     AdamHyper,
     AdamOptimizer,
     AdamState,
@@ -28,6 +29,17 @@ def adam_scalar_reference(grad_fn, theta, steps, lr=0.001, b1=0.9, b2=0.999, eps
         vhat = v / (1 - b2 ** t)
         theta = theta - lr * mhat / (math.sqrt(vhat) + eps)
     return theta
+
+
+def adam_allocating_reference(params, grads, m, v, t, hyper):
+    # the whole-array update that allocates every intermediate; returns
+    # (new params, m, v) after step t
+    m = hyper.beta1 * m + (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * v + (1.0 - hyper.beta2) * grads * grads
+    mhat = m / (1.0 - hyper.beta1 ** t)
+    vhat = v / (1.0 - hyper.beta2 ** t)
+    update = hyper.learning_rate * mhat / (np.sqrt(vhat) + hyper.epsilon)
+    return (params - update).astype(params.dtype, copy=False), m, v
 
 
 class TestBceLoss:
@@ -143,6 +155,52 @@ class TestAdam:
         for expected in range(1, 6):
             adam_step(np.array(0.0), np.array(1.0), state, AdamHyper())
             assert state.t == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (),
+        (7,),
+        (ADAM_BLOCK,),
+        (2 * ADAM_BLOCK + 37,),
+        (3, ADAM_BLOCK // 2 + 5),
+    ])
+    def test_bit_identical_to_allocating_reference(self, dtype, shape):
+        rng = np.random.default_rng(21)
+        hyper = AdamHyper(learning_rate=0.01)
+        theta = rng.normal(size=shape).astype(dtype)
+        state = AdamState(shape)
+        ref_theta, ref_m, ref_v = theta.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 4):
+            g = rng.normal(size=shape).astype(dtype)
+            if t == 2:
+                g = g * 0  # zero gradients, including -0.0
+            before = theta.copy()
+            new = adam_step(theta, g, state, hyper)
+            ref_theta, ref_m, ref_v = adam_allocating_reference(
+                ref_theta, g, ref_m, ref_v, t, hyper)
+            assert new is not theta
+            assert_array_equal(theta, before)
+            assert new.dtype == dtype and new.shape == shape
+            assert state.m.dtype == state.v.dtype == np.float64
+            assert new.tobytes() == ref_theta.tobytes()
+            assert state.m.tobytes() == ref_m.tobytes()
+            assert state.v.tobytes() == ref_v.tobytes()
+            theta = new
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_grads(self, dtype):
+        rng = np.random.default_rng(22)
+        hyper = AdamHyper()
+        theta = rng.normal(size=(5, 3 * ADAM_BLOCK // 4)).astype(dtype)
+        grads = rng.normal(size=(3 * ADAM_BLOCK // 4, 10)).astype(dtype).T[::2]
+        assert not grads.flags.c_contiguous
+        state = AdamState(theta.shape)
+        new = adam_step(theta, grads, state, hyper)
+        want, m, v = adam_allocating_reference(
+            theta, grads, np.zeros(theta.shape), np.zeros(theta.shape), 1, hyper)
+        assert_array_equal(new, want)
+        assert_array_equal(state.m, m)
+        assert_array_equal(state.v, v)
 
 
 class TestSgd:
