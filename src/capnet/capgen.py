@@ -9,7 +9,7 @@ order or in parallel.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -74,18 +74,11 @@ class DistortionSpec:
             raise ParameterError(f"overlap_px must be >= 0, got {self.overlap_px}")
 
     def to_dict(self) -> dict:
-        return {
-            "rotation_max_deg": self.rotation_max_deg,
-            "warp_amplitude": self.warp_amplitude,
-            "pepper_density": self.pepper_density,
-            "noise_sigma": self.noise_sigma,
-            "text_gray_level": self.text_gray_level,
-            "overlap_px": self.overlap_px,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistortionSpec":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown distortion keys: {sorted(unknown)}")
         return cls(**d)

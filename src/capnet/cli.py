@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import gradcheck as gradcheck_mod
 from .capgen import Charset, DistortionSpec, generate_dataset
@@ -32,8 +33,8 @@ from .tensor import Rng
 from .vulnscan import OracleModel, analyze, emit_report
 
 CONFIG_SECTIONS = ("charset", "model", "train", "distortion")
-TRAIN_KEYS = ("epochs", "batch_size", "seed", "shuffle", "optimizer")
-ADAM_KEYS = ("learning_rate", "beta1", "beta2", "epsilon")
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "adam")
+ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))
 
 
 def _load_config(path) -> dict:
@@ -87,17 +88,13 @@ def _train_config_from_section(section: dict, seed: int) -> TrainConfig:
 
 
 def _model_config_from_section(section: dict, charset_size: int) -> ModelConfig:
-    section = dict(section)
     declared = section.get("charset_size")
     if declared is not None and declared != charset_size:
         raise ConfigError(
             f"model charset_size {declared} does not match the dataset "
             f"charset ({charset_size} symbols)"
         )
-    section["charset_size"] = charset_size
-    if "conv_filters" in section:
-        section["conv_filters"] = tuple(section["conv_filters"])
-    return ModelConfig.from_dict(section)
+    return ModelConfig.from_dict({**section, "charset_size": charset_size})
 
 
 def cmd_generate(args) -> int:
@@ -170,14 +167,8 @@ def cmd_eval(args) -> int:
     for i, acc in enumerate(metrics.per_position_accuracy):
         print(f"position_{i}_accuracy={acc!r}")
     print(f"mean_loss={metrics.mean_loss!r}")
-    payload = {
-        "char_accuracy": metrics.char_accuracy,
-        "full_accuracy": metrics.full_accuracy,
-        "per_position_accuracy": list(metrics.per_position_accuracy),
-        "mean_loss": metrics.mean_loss,
-    }
     with open(args.metrics_out, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        f.write(json.dumps(asdict(metrics), sort_keys=True, separators=(",", ":")))
         f.write("\n")
     print(f"metrics written to {args.metrics_out}")
     return 0

@@ -12,7 +12,16 @@ import os
 
 import numpy as np
 
-from .capgen import CaptchaSample, Charset, Dataset, DistortionSpec, SampleMeta
+from .capgen import (
+    IMAGE_H,
+    IMAGE_W,
+    TEXT_LEN,
+    CaptchaSample,
+    Charset,
+    Dataset,
+    DistortionSpec,
+    SampleMeta,
+)
 from .errors import (
     DimensionError,
     EncodingError,
@@ -22,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 
-TEXT_LEN = 5
 MANIFEST_HEADER = ["id", "label", "file", "rot1", "rot2", "rot3", "rot4", "rot5",
                    "pepper_density", "gray_level"]
 
@@ -185,12 +193,16 @@ def load_dataset(path: str) -> Dataset:
             sidecar = json.load(f)
         except json.JSONDecodeError as e:
             raise ManifestError(f"dataset.json is not valid JSON: {e}") from None
+    if not isinstance(sidecar, dict):
+        raise ManifestError("dataset.json must hold a JSON object")
     try:
         charset = Charset(sidecar["charset"])
         spec = DistortionSpec.from_dict(sidecar["spec"])
         seed = sidecar["seed"]
     except KeyError as e:
         raise ManifestError(f"dataset.json missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ManifestError(f"dataset.json has a malformed charset or spec: {e}") from None
 
     samples = []
     seen_ids = set()
@@ -214,9 +226,10 @@ def load_dataset(path: str) -> Dataset:
             if not os.path.exists(image_path):
                 raise MissingFileError(f"sample {sid}: image file {filename} is missing")
             image = read_pgm(image_path)
-            if image.shape != (50, 200):
+            if image.shape != (IMAGE_H, IMAGE_W):
                 raise IntegrityError(
-                    f"sample {sid}: image is {image.shape[1]}x{image.shape[0]}, expected 200x50"
+                    f"sample {sid}: image is {image.shape[1]}x{image.shape[0]}, "
+                    f"expected {IMAGE_W}x{IMAGE_H}"
                 )
             try:
                 rotations = tuple(float(v) for v in row[3:8])

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import layers as layers_mod
 from .capgen import Charset
-from .model import ModelConfig, build_model
+from .model import HEADS, ModelConfig, build_model
 from .optim import bce_loss
 from .tensor import Rng
 
@@ -58,6 +58,20 @@ def max_rel_error(a, b, floor: float = 1e-8) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def _with_value(p, f):
+    """f as a function of p's value: objective(v) runs f() with p.value = v."""
+
+    def objective(v):
+        saved = p.value
+        p.value = v
+        try:
+            return f()
+        finally:
+            p.value = saved
+
+    return objective
+
+
 def check_layer(layer, x, training: bool = True, h: float = FD_STEP, reseed=None) -> dict:
     """Worst relative FD error for a layer's input and parameter gradients.
 
@@ -80,17 +94,8 @@ def check_layer(layer, x, training: bool = True, h: float = FD_STEP, reseed=None
 
     errors = {"input": max_rel_error(dx, fd_gradient(lambda v: float((run(v) * r).sum()), x.copy(), h))}
     for p in layer.parameters():
-        analytic = p.grad.copy()
-
-        def objective(v, p=p):
-            saved = p.value
-            p.value = v
-            try:
-                return float((run(x) * r).sum())
-            finally:
-                p.value = saved
-
-        errors[p.name] = max_rel_error(analytic, fd_gradient(objective, p.value.copy(), h))
+        objective = _with_value(p, lambda: float((run(x) * r).sum()))
+        errors[p.name] = max_rel_error(p.grad.copy(), fd_gradient(objective, p.value.copy(), h))
     return errors
 
 
@@ -143,8 +148,8 @@ def check_model(seed: int = 0, h: float = FD_STEP) -> dict:
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(0.5, 0.25, size=(2, 1, 16, 16))
     k = CHECK_CONFIG.charset_size
-    y = np.zeros((5, 2, k))
-    for head in range(5):
+    y = np.zeros((HEADS, 2, k))
+    for head in range(HEADS):
         for b in range(2):
             y[head, b, rng.integers(k)] = 1.0
 
@@ -159,18 +164,9 @@ def check_model(seed: int = 0, h: float = FD_STEP) -> dict:
 
     errors = {}
     for p in model.parameters():
-        analytic = p.grad.copy()
-
-        def objective(v, p=p):
-            saved = p.value
-            p.value = v
-            try:
-                return loss_at_current_params()
-            finally:
-                p.value = saved
-
+        objective = _with_value(p, loss_at_current_params)
         errors[p.name] = max_rel_error(
-            analytic, fd_gradient(objective, p.value.copy(), h), floor=1e-6
+            p.grad.copy(), fd_gradient(objective, p.value.copy(), h), floor=1e-6
         )
     return errors
 

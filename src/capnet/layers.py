@@ -1,9 +1,12 @@
 """Network layers with explicit forward and backward passes.
 
-Every layer caches whatever its backward pass needs during forward; a cache
-is only valid for the immediately preceding forward call, and backward works
-after an inference forward too. Gradients accumulate into ``Parameter.grad``
-so callers zero them between steps.
+Every layer follows the ``Layer`` protocol: ``forward(x, training)`` returns
+the output and caches whatever ``backward(dout)`` needs, ``backward`` returns
+the gradient with respect to the input, and ``parameters()`` lists the
+layer's trainable ``Parameter`` objects (none, by default). A cache is only
+valid for the immediately preceding forward call, and backward works after an
+inference forward too. Gradients accumulate into ``Parameter.grad`` so callers
+zero them between steps.
 
 Cache lifetimes of the two large layers:
 
@@ -36,7 +39,14 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-class Conv2D:
+class Layer:
+    """Base of every layer; a layer without weights inherits ``parameters``."""
+
+    def parameters(self):
+        return []
+
+
+class Conv2D(Layer):
     """3x3 cross-correlation, stride 1, zero padding 1 (spatial dims preserved)."""
 
     def __init__(self, in_channels: int, out_channels: int, rng: Rng, name: str = "conv"):
@@ -97,12 +107,9 @@ class Conv2D:
         return dxp[:, 1:1 + h, 1:1 + w, :].transpose(0, 3, 1, 2)
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         # gradient at exactly 0 is defined as 0, so the mask is strict
@@ -113,7 +120,7 @@ class ReLU:
         return dout * self._mask
 
 
-class MaxPool2:
+class MaxPool2(Layer):
     """2x2 max pooling, stride 2; trailing odd row/column dropped."""
 
     # window corners in row-major order, which is also the tie-break order
@@ -122,9 +129,6 @@ class MaxPool2:
     def __init__(self):
         self._masks = None
         self._in_shape = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if x.ndim != 4:
@@ -165,7 +169,7 @@ class MaxPool2:
         return dx
 
 
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     """Per-channel batch normalization over (batch, height, width).
 
     Training normalizes by biased batch statistics and updates running stats
@@ -178,6 +182,7 @@ class BatchNorm2d:
             raise ParameterError(f"batchnorm momentum must lie in (0,1), got {momentum}")
         if epsilon <= 0.0:
             raise ParameterError(f"batchnorm epsilon must be positive, got {epsilon}")
+        self.name = name
         self.channels = channels
         self.momentum = momentum
         self.epsilon = epsilon
@@ -231,7 +236,7 @@ class BatchNorm2d:
         )
 
 
-class Dense:
+class Dense(Layer):
     def __init__(self, in_features: int, out_features: int, rng: Rng, name: str = "dense"):
         self.in_features = in_features
         self.out_features = out_features
@@ -258,7 +263,7 @@ class Dense:
         return matmul(dout, self.weights.value.T)
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: inference is the identity, training rescales survivors."""
 
     def __init__(self, rate: float, rng: Rng | None = None):
@@ -267,9 +272,6 @@ class Dropout:
         self.rate = rate
         self.rng = rng
         self._mask = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if not training or self.rate == 0.0:
@@ -287,12 +289,9 @@ class Dropout:
         return dout * self._mask
 
 
-class Flatten:
+class Flatten(Layer):
     def __init__(self):
         self._in_shape = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         self._in_shape = x.shape
@@ -302,14 +301,11 @@ class Flatten:
         return dout.reshape(self._in_shape)
 
 
-class Softmax:
+class Softmax(Layer):
     """Row softmax with max-subtraction for overflow safety."""
 
     def __init__(self):
         self._out = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if x.ndim != 2 or x.shape[1] < 2:

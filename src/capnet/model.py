@@ -8,16 +8,20 @@ one-hot cells.
 """
 
 import json
+import math
+import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import datapipe
-from .capgen import Charset
+from .capgen import IMAGE_H, IMAGE_W, Charset
+from .capgen import TEXT_LEN as HEADS  # one softmax head per text position
 from .errors import (
+    CapnetError,
     ChecksumError,
     ConfigError,
     DegenerateBatchError,
@@ -31,7 +35,6 @@ from .layers import BatchNorm2d, Conv2D, Dense, Dropout, Flatten, MaxPool2, ReLU
 from .optim import AdamHyper, AdamOptimizer, SgdOptimizer, bce_loss
 from .tensor import Rng
 
-HEADS = 5
 MAGIC = b"CAPN"
 FORMAT_VERSION = 1
 
@@ -40,8 +43,8 @@ _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 @dataclass(frozen=True)
 class ModelConfig:
-    image_h: int = 50
-    image_w: int = 200
+    image_h: int = IMAGE_H
+    image_w: int = IMAGE_W
     charset_size: int = 36
     conv_filters: tuple = (32, 48, 64, 64)
     dense_width: int = 1664
@@ -76,19 +79,11 @@ class ModelConfig:
         return self.conv_filters[3] * (self.image_h // 16) * (self.image_w // 16)
 
     def to_dict(self) -> dict:
-        return {
-            "image_h": self.image_h,
-            "image_w": self.image_w,
-            "charset_size": self.charset_size,
-            "conv_filters": list(self.conv_filters),
-            "dense_width": self.dense_width,
-            "dropout_rate": self.dropout_rate,
-            "precision": self.precision,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
@@ -186,13 +181,8 @@ class CapNet:
             bn.running_var = bn.running_var.astype(dtype)
 
     def parameters(self):
-        params = []
-        for layer in self.trunk:
-            params.extend(layer.parameters())
-        for head in self.heads:
-            for layer in head:
-                params.extend(layer.parameters())
-        return params
+        layers = self.trunk + [layer for head in self.heads for layer in head]
+        return [p for layer in layers for p in layer.parameters()]
 
     def zero_grad(self):
         for p in self.parameters():
@@ -220,14 +210,13 @@ class CapNet:
         out = x.astype(self.dtype, copy=False)
         for layer in self.trunk:
             out = layer.forward(out, training=training)
-        return [self._run_head(head, out, training) for head in self.heads]
-
-    @staticmethod
-    def _run_head(head, flat, training):
-        out = flat
-        for layer in head:
-            out = layer.forward(out, training=training)
-        return out
+        heads = []
+        for head in self.heads:
+            h = out
+            for layer in head:
+                h = layer.forward(h, training=training)
+            heads.append(h)
+        return heads
 
     def backward(self, dheads):
         """Backpropagate one upstream gradient per head; accumulates grads."""
@@ -248,9 +237,7 @@ class CapNet:
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
             batch = np.stack([datapipe.normalize(s.image) for s in chunk])
-            heads = self.forward(batch, training=False)
-            for h in range(HEADS):
-                out[start:start + len(chunk), h] = heads[h]
+            out[start:start + len(chunk)] = np.stack(self.forward(batch, training=False), axis=1)
         return out
 
 
@@ -270,7 +257,7 @@ def _make_optimizer(config: TrainConfig):
     return SgdOptimizer(config.adam.learning_rate)
 
 
-def _run_epoch(model, x, y, config, shuffle_rng, freeze_stats=False):
+def _run_epoch(model, x, y, config, shuffle_rng):
     """One pass over (x, y); returns (mean loss, char hits, full hits, n seen)."""
     n = x.shape[0]
     order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
@@ -284,7 +271,7 @@ def _run_epoch(model, x, y, config, shuffle_rng, freeze_stats=False):
             continue  # a single sample cannot form batch statistics
         xb = x[idx]
         yb = y[:, idx, :]
-        heads = model.forward(xb, training=True, freeze_stats=freeze_stats)
+        heads = model.forward(xb, training=True)
         probs = np.stack(heads)
         lv = bce_loss(probs, yb)
         model.zero_grad()
@@ -302,33 +289,6 @@ def _run_epoch(model, x, y, config, shuffle_rng, freeze_stats=False):
             "every batch degenerated to a single sample; use a batch size >= 2"
         )
     return total_loss / seen, char_hits, full_hits, seen
-
-
-def train_epoch(model: CapNet, dataset, config: TrainConfig, rng: Rng,
-                freeze_stats: bool = False) -> EpochRecord:
-    """Shuffle, iterate batches, and apply one optimizer step per batch.
-
-    rng drives shuffling; dropout streams should already be attached via
-    model.set_dropout_rng. Test-side fields of the record are nan.
-    """
-    if len(dataset) == 0:
-        raise ValidationError("cannot train on an empty dataset")
-    if model.optimizer is None:
-        model.optimizer = _make_optimizer(config)
-    x, y = _dataset_arrays(model, dataset)
-    start = time.perf_counter()
-    loss, char_hits, full_hits, seen = _run_epoch(model, x, y, config, rng, freeze_stats)
-    ms = (time.perf_counter() - start) * 1000.0
-    return EpochRecord(
-        epoch=0,
-        train_loss=loss,
-        test_loss=float("nan"),
-        train_char_acc=char_hits / (HEADS * seen),
-        test_char_acc=float("nan"),
-        train_full_acc=full_hits / seen,
-        test_full_acc=float("nan"),
-        ms=ms,
-    )
 
 
 def train(model: CapNet, dataset, config: TrainConfig, test_dataset=None,
@@ -357,21 +317,17 @@ def train(model: CapNet, dataset, config: TrainConfig, test_dataset=None,
         start = time.perf_counter()
         loss, char_hits, full_hits, seen = _run_epoch(model, x, y, config, shuffle_rng)
         ms = (time.perf_counter() - start) * 1000.0
-        if test_x is not None:
-            test_metrics = _evaluate_arrays(model, test_x, test_y)
-            test_loss = test_metrics.mean_loss
-            test_char = test_metrics.char_accuracy
-            test_full = test_metrics.full_accuracy
-        else:
-            test_loss = test_char = test_full = float("nan")
+        nan = float("nan")
+        test = (_metrics_from_probs(_predict_arrays(model, test_x), test_y)
+                if test_x is not None else Metrics(nan, nan, (), nan))
         record = EpochRecord(
             epoch=epoch,
             train_loss=loss,
-            test_loss=test_loss,
+            test_loss=test.mean_loss,
             train_char_acc=char_hits / (HEADS * seen),
-            test_char_acc=test_char,
+            test_char_acc=test.char_accuracy,
             train_full_acc=full_hits / seen,
-            test_full_acc=test_full,
+            test_full_acc=test.full_accuracy,
             ms=ms,
         )
         records.append(record)
@@ -383,9 +339,8 @@ def train(model: CapNet, dataset, config: TrainConfig, test_dataset=None,
 def _predict_arrays(model: CapNet, x, batch_size: int = 64) -> np.ndarray:
     out = np.zeros((x.shape[0], HEADS, model.config.charset_size))
     for start in range(0, x.shape[0], batch_size):
-        heads = model.forward(x[start:start + batch_size], training=False)
-        for h in range(HEADS):
-            out[start:start + heads[h].shape[0], h] = heads[h]
+        out[start:start + batch_size] = np.stack(
+            model.forward(x[start:start + batch_size], training=False), axis=1)
     return out
 
 
@@ -404,10 +359,6 @@ def _metrics_from_probs(probs, y) -> Metrics:
     )
 
 
-def _evaluate_arrays(model: CapNet, x, y) -> Metrics:
-    return _metrics_from_probs(_predict_arrays(model, x), y)
-
-
 def evaluate(model, dataset) -> Metrics:
     """Inference-mode metrics; works for any model exposing predict_dataset."""
     if len(dataset) == 0:
@@ -424,26 +375,18 @@ def evaluate(model, dataset) -> Metrics:
     return _metrics_from_probs(probs, y.transpose(1, 0, 2))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_history(history: History, out_dir: str):
     """Write history.csv plus accuracy and loss SVG plots into out_dir."""
-    import os
-
     if len(history) == 0:
         raise ValidationError("history is empty; nothing to emit")
     os.makedirs(out_dir, exist_ok=True)
+    columns = fields(EpochRecord)
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as f:
-        f.write("epoch,train_loss,test_loss,train_char_acc,test_char_acc,"
-                "train_full_acc,test_full_acc,ms\n")
+        f.write(",".join(c.name for c in columns) + "\n")
         for r in history:
-            f.write(",".join([
-                str(r.epoch), _fmt(r.train_loss), _fmt(r.test_loss),
-                _fmt(r.train_char_acc), _fmt(r.test_char_acc),
-                _fmt(r.train_full_acc), _fmt(r.test_full_acc), _fmt(r.ms),
-            ]) + "\n")
+            values = [getattr(r, c.name) for c in columns]
+            f.write(",".join(str(v) if c.type is int else repr(float(v))
+                             for c, v in zip(columns, values)) + "\n")
 
     epochs = [r.epoch for r in history]
     acc_series = [
@@ -538,17 +481,21 @@ def _pack_tensor(name: str, value: np.ndarray) -> bytes:
     return header + data
 
 
+def _stored_slots(model: CapNet):
+    """(tensor name, owner, attribute) of every stored tensor, in file order."""
+    slots = [(p.name, p, "value") for p in model.parameters()]
+    slots += [(f"{bn.name}.{attr}", bn, attr) for bn in model._batchnorms
+              for attr in ("running_mean", "running_var")]
+    return slots
+
+
 def save_model(model: CapNet, path: str):
     """Serialize config, charset, parameters, and batchnorm running stats.
 
     Tensor payloads are 32-bit floats; a float64 model loses precision here.
     The trailing u32 is a CRC32 over everything before it.
     """
-    named = [(p.name, p.value) for p in model.parameters()]
-    for i, bn in enumerate(model._batchnorms):
-        stage = i + 3  # batchnorm lives in conv stages 3 and 4
-        named.append((f"bn{stage}.running_mean", bn.running_mean))
-        named.append((f"bn{stage}.running_var", bn.running_var))
+    named = [(name, getattr(owner, attr)) for name, owner, attr in _stored_slots(model)]
     config_block = json.dumps(
         {"model": model.config.to_dict(), "charset": model.charset.symbols},
         sort_keys=True,
@@ -585,6 +532,11 @@ class _Reader:
 
 
 def load_model(path: str) -> CapNet:
+    """Read a format-v1 model file; a malformed file raises ModelFormatError.
+
+    Lengths are walked first, so a short file raises TruncationError; then the
+    CRC32 is checked; only then are the config block and tensor names decoded.
+    """
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data, path)
@@ -596,45 +548,34 @@ def load_model(path: str) -> CapNet:
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
         )
     config_block = r.take(r.u32())
-    try:
-        blob = json.loads(config_block.decode("utf-8"))
-        config = ModelConfig.from_dict(blob["model"])
-        charset = Charset(blob["charset"])
-    except (ValueError, KeyError) as e:
-        raise ModelFormatError(f"{path}: bad config block: {e}") from None
-
-    tensors = {}
+    records = []
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * count)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        name = r.take(r.u32())
+        shape = tuple(r.u32() for _ in range(r.u32()))
+        records.append((name, shape, r.take(4 * math.prod(shape))))
     stored_crc = r.u32()
     if r.pos != len(data):
         raise ModelFormatError(f"{path}: {len(data) - r.pos} trailing bytes after checksum")
     if stored_crc != zlib.crc32(data[:-4]):
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
-    model = CapNet(config, charset, Rng(0))
-    for p in model.parameters():
-        if p.name not in tensors:
-            raise ModelFormatError(f"{path}: missing tensor {p.name!r}")
-        stored = tensors.pop(p.name)
-        if stored.shape != p.value.shape:
+    try:
+        blob = json.loads(config_block.decode("utf-8"))
+        model = CapNet(ModelConfig.from_dict(blob["model"]), Charset(blob["charset"]), Rng(0))
+        tensors = {name.decode("utf-8"): np.frombuffer(raw, dtype="<f4").reshape(shape)
+                   for name, shape, raw in records}
+    except (ValueError, KeyError, TypeError, CapnetError) as e:
+        raise ModelFormatError(f"{path}: bad config block or tensor name: {e}") from None
+    for name, owner, attr in _stored_slots(model):
+        if name not in tensors:
+            raise ModelFormatError(f"{path}: missing tensor {name!r}")
+        stored = tensors.pop(name)
+        expected = getattr(owner, attr).shape
+        if stored.shape != expected:
             raise ModelFormatError(
-                f"{path}: tensor {p.name!r} has shape {stored.shape}, "
-                f"model expects {p.value.shape}"
+                f"{path}: tensor {name!r} has shape {stored.shape}, model expects {expected}"
             )
-        p.value = stored.astype(model.dtype)
-    for i, bn in enumerate(model._batchnorms):
-        stage = i + 3
-        for attr in ("running_mean", "running_var"):
-            key = f"bn{stage}.{attr}"
-            if key not in tensors:
-                raise ModelFormatError(f"{path}: missing tensor {key!r}")
-            setattr(bn, attr, tensors.pop(key).astype(model.dtype))
+        setattr(owner, attr, stored.astype(model.dtype))
     if tensors:
         raise ModelFormatError(f"{path}: unknown tensors {sorted(tensors)}")
     return model

@@ -1,4 +1,4 @@
-"""Dense-array substrate: seeded random streams, matmul, elementwise math, init.
+"""Dense-array substrate: seeded random streams, checked matmul, weight init.
 
 Tensors are plain numpy arrays (row-major, explicit shapes). The helpers here
 add the contract checks the rest of the package relies on: shape validation
@@ -10,8 +10,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 Tensor = np.ndarray
-
-DEFAULT_DTYPE = np.float64
 
 
 class Rng:
@@ -52,12 +50,6 @@ class Rng:
         return f"Rng(seed={self.seed}, path={self._spawn_key})"
 
 
-def _require_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{op} produced non-finite values")
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Standard matrix product of two rank-2 tensors."""
     a = np.asarray(a)
@@ -72,49 +64,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    return _require_finite(out, "matmul")
+    if not np.all(np.isfinite(out)):
+        raise DomainError("matmul produced non-finite values")
+    return out
 
 
-_BINARY_OPS = ("add", "sub", "mul")
-_UNARY_OPS = ("exp", "log")
-
-
-def elementwise(op: str, a: Tensor, b=None) -> Tensor:
-    """Apply ``op`` per element.
-
-    Binary ops (add/sub/mul) accept an equal-shaped tensor or a scalar;
-    ``scale`` accepts a scalar only; ``clip`` takes ``b=(lo, hi)``.
-    """
-    a = np.asarray(a)
-    if op in _BINARY_OPS:
-        b_arr = np.asarray(b)
-        if b_arr.ndim != 0 and b_arr.shape != a.shape:
-            raise DimensionError(
-                f"elementwise {op}: shapes {a.shape} and {b_arr.shape} differ"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b_arr)
-    elif op == "scale":
-        if np.asarray(b).ndim != 0:
-            raise DimensionError("elementwise scale expects a scalar factor")
-        out = a * float(b)
-    elif op == "exp":
-        with np.errstate(over="ignore"):
-            out = np.exp(a)
-    elif op == "log":
-        if np.any(a <= 0):
-            raise DomainError("log of non-positive value; clip first")
-        out = np.log(a)
-    elif op == "clip":
-        lo, hi = b
-        out = np.clip(a, lo, hi)
-    else:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return _require_finite(out, f"elementwise {op}")
-
-
-def init_weights(shape, scheme: str, rng: Rng | None = None, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Create a parameter tensor.
+def init_weights(shape, scheme: str, rng: Rng | None = None) -> Tensor:
+    """Create a float64 parameter tensor.
 
     ``he_uniform`` draws from U(-sqrt(6/fan_in), +sqrt(6/fan_in)) where
     fan_in is the input count: rows for rank-2 input-by-output weights,
@@ -124,9 +80,9 @@ def init_weights(shape, scheme: str, rng: Rng | None = None, dtype=DEFAULT_DTYPE
     if not shape or any(d < 1 for d in shape):
         raise DimensionError(f"invalid weight shape {shape}")
     if scheme == "zeros":
-        return np.zeros(shape, dtype=dtype)
+        return np.zeros(shape)
     if scheme == "ones":
-        return np.ones(shape, dtype=dtype)
+        return np.ones(shape)
     if scheme == "he_uniform":
         if rng is None:
             raise ValueError("he_uniform needs an Rng")
@@ -135,5 +91,5 @@ def init_weights(shape, scheme: str, rng: Rng | None = None, dtype=DEFAULT_DTYPE
         else:
             fan_in = shape[0]
         limit = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-limit, limit, shape).astype(dtype)
+        return rng.uniform(-limit, limit, shape)
     raise ValueError(f"unknown init scheme {scheme!r}")

@@ -10,14 +10,14 @@ metadata so a CAPTCHA designer can see which knobs actually hurt the model.
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .capgen import TEXT_LEN as HEADS  # one softmax head per text position
 from .datapipe import encode_label
 from .errors import DimensionError, ValidationError
 
-HEADS = 5
 ROTATION_BUCKET_DEG = 5.0
 GRAY_BUCKET = 16
 PEPPER_BUCKET = 0.02
@@ -56,16 +56,8 @@ class VulnReport:
     mean_eta_incorrect: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "confusion_counts": self.confusion_counts,
-            "accuracy_by_rotation": self.accuracy_by_rotation,
-            "accuracy_by_gray_level": self.accuracy_by_gray_level,
-            "accuracy_by_pepper_density": self.accuracy_by_pepper_density,
-            "top_confusable_pairs": self.top_confusable_pairs,
-            "mean_eta_correct": self.mean_eta_correct,
-            "mean_eta_incorrect": self.mean_eta_incorrect,
-        }
+        # shallow on purpose: asdict would deep-copy every table
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class OracleModel:

@@ -1,10 +1,16 @@
 import json
+import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
+from capnet.capgen import Charset
 from capnet.cli import entry
+from capnet.model import ModelConfig, build_model, save_model
+from capnet.tensor import Rng
 
 DIGIT_CONFIG = {
     "charset": "0123456789",
@@ -181,6 +187,48 @@ class TestEval:
         code = entry(["eval", "--data", str(trained["data"]),
                       "--metrics-out", str(tmp_path / "m.json")])
         assert code == 1
+
+
+def _flip_tensor_name(data):
+    at = data.index(b"conv1.weights")
+    return data[:at] + b"\xff" + data[at + 1:]
+
+
+class TestCorruptInputs:
+    """A damaged model file or dataset.json exits 2, never with a traceback."""
+
+    @pytest.mark.parametrize("fix_crc", [False, True], ids=["stale_crc", "fixed_crc"])
+    @pytest.mark.parametrize("flip", [
+        lambda data: data.replace(b'"dense_width":8', b'"dense_width":0', 1),
+        _flip_tensor_name,
+    ], ids=["dense_width_0", "tensor_name_0xff"])
+    def test_corrupt_model_exits_2(self, trained, tmp_path, flip, fix_crc):
+        config = ModelConfig(image_h=16, image_w=16, charset_size=3,
+                             conv_filters=(2, 2, 2, 2), dense_width=8)
+        path = tmp_path / "m.capn"
+        save_model(build_model(config, Charset("abc"), Rng(0)), str(path))
+        data = flip(path.read_bytes())
+        if fix_crc:
+            data = data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+        path.write_bytes(data)
+        code = entry(["eval", "--model", str(path), "--data", str(trained["data"]),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    @pytest.mark.parametrize("mangle", [
+        lambda sidecar: {**sidecar, "spec": []},
+        lambda sidecar: {**sidecar, "charset": 5},
+        lambda sidecar: {**sidecar, "spec": {"overlap_px": "x"}},
+        lambda sidecar: [sidecar],
+    ], ids=["spec_list", "charset_int", "overlap_px_str", "top_level_list"])
+    def test_malformed_sidecar_exits_2(self, trained, tmp_path, mangle):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        sidecar = json.loads((data / "dataset.json").read_text())
+        (data / "dataset.json").write_text(json.dumps(mangle(sidecar)))
+        code = entry(["eval", "--oracle", "--data", str(data),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
 
 
 class TestAnalyze:

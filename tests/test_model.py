@@ -30,7 +30,6 @@ from capnet.model import (
     load_model,
     save_model,
     train,
-    train_epoch,
 )
 from capnet.optim import SgdOptimizer
 from capnet.tensor import Rng
@@ -178,21 +177,16 @@ class TestTraining:
 
         empty = Dataset([], DIGITS, DistortionSpec(), 0)
         with pytest.raises(ValidationError):
-            train_epoch(m, empty, TrainConfig(), Rng(0))
-        with pytest.raises(ValidationError):
-            train(m, empty, TrainConfig())
+            train(m, empty, TrainConfig(epochs=1))
 
     def test_zero_lr_epoch_changes_nothing(self):
         m = build_model(DESK, DIGITS, Rng(1))
         ds = desk_dataset()
         before = [p.value.copy() for p in m.parameters()]
-        loss_before = evaluate(m, ds).mean_loss
         m.optimizer = SgdOptimizer(0.0)
-        m.set_dropout_rng(Rng(9))
-        train_epoch(m, ds, TrainConfig(optimizer="sgd"), Rng(2), freeze_stats=True)
+        train(m, ds, TrainConfig(epochs=1, optimizer="sgd", seed=2))
         for p, old in zip(m.parameters(), before):
             assert_array_equal(p.value, old)
-        assert evaluate(m, ds).mean_loss == loss_before
 
     def test_training_deterministic(self):
         ds = desk_dataset()
@@ -218,13 +212,13 @@ class TestTraining:
     def test_single_leftover_sample_dropped(self):
         m = build_model(DESK, DIGITS, Rng(10))
         ds = desk_dataset(3)
-        record = train_epoch(m, ds, TrainConfig(batch_size=2, shuffle=False), Rng(0))
-        assert np.isfinite(record.train_loss)
+        hist = train(m, ds, TrainConfig(epochs=1, batch_size=2, shuffle=False))
+        assert np.isfinite(hist.records[0].train_loss)
 
     def test_batch_of_one_total_rejected(self):
         m = build_model(DESK, DIGITS, Rng(11))
         with pytest.raises(DegenerateBatchError):
-            train_epoch(m, desk_dataset(1), TrainConfig(batch_size=2), Rng(0))
+            train(m, desk_dataset(1), TrainConfig(epochs=1, batch_size=2))
 
     def test_sgd_optimizer_choice(self):
         m = build_model(DESK, DIGITS, Rng(12))

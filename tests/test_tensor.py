@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from capnet.errors import DimensionError, DomainError
-from capnet.tensor import Rng, elementwise, init_weights, matmul
+from capnet.tensor import Rng, init_weights, matmul
 
 
 def matmul_oracle(a, b):
@@ -65,51 +65,6 @@ class TestMatmul:
         big = np.full((2, 2), 1e308)
         with pytest.raises(DomainError):
             matmul(big, big)
-
-
-class TestElementwise:
-    def test_add_sub_mul(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([4.0, 5.0, 6.0])
-        assert_array_equal(elementwise("add", a, b), a + b)
-        assert_array_equal(elementwise("sub", a, b), a - b)
-        assert_array_equal(elementwise("mul", a, b), a * b)
-
-    def test_scalar_broadcast(self):
-        a = np.array([1.0, 2.0])
-        assert_array_equal(elementwise("add", a, 1.0), a + 1.0)
-        assert_array_equal(elementwise("scale", a, 2.5), a * 2.5)
-
-    def test_scale_rejects_array(self):
-        with pytest.raises(DimensionError):
-            elementwise("scale", np.ones(3), np.ones(3))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            elementwise("add", np.ones(3), np.ones(4))
-
-    def test_exp_log_inverse(self):
-        rng = np.random.default_rng(21)
-        a = rng.uniform(0.1, 5.0, size=100)
-        assert_allclose(elementwise("log", elementwise("exp", a)), a, atol=1e-12)
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            elementwise("log", np.array([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            elementwise("log", np.array([-1.0]))
-
-    def test_clip(self):
-        a = np.array([-2.0, 0.5, 9.0])
-        assert_array_equal(elementwise("clip", a, (0.0, 1.0)), [0.0, 0.5, 1.0])
-
-    def test_overflow_rejected(self):
-        with pytest.raises(DomainError):
-            elementwise("exp", np.array([1000.0]))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise("pow", np.ones(2), 2.0)
 
 
 class TestInitWeights:
