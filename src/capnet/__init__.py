@@ -10,7 +10,6 @@ from .capgen import (
     sample_text,
 )
 from .datapipe import (
-    decode_prediction,
     encode_label,
     load_dataset,
     normalize,
@@ -45,7 +44,6 @@ from .model import (
 from .optim import AdamHyper, AdamOptimizer, SgdOptimizer, adam_step, bce_loss
 from .tensor import Rng
 from .vulnscan import (
-    ConstantModel,
     OracleModel,
     UncertaintyScore,
     VulnReport,

@@ -4,11 +4,10 @@ Length-5 strings are drawn uniformly from a charset and rendered at 200x50
 grayscale with parameterized distortions: per-character rotation, a
 sinusoidal vertical wave, horizontal glyph overlap, and Gaussian-valued
 pepper noise. Everything is a pure function of (text, spec, seed), so
-datasets regenerate bit-identically and samples can be rendered in any
-order or in parallel.
+datasets regenerate bit-identically and samples could be rendered in any
+order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -246,6 +245,8 @@ def generate_dataset(
 
     Sample i renders from a stream keyed by (seed, i), so rendering is
     order-independent; label uniqueness is resolved in one serial pass first.
+    Samples render in order on the calling thread; ``threads`` is accepted
+    for compatibility and has no effect.
     """
     if n < 0:
         raise ValidationError(f"sample count must be >= 0, got {n}")
@@ -256,12 +257,6 @@ def generate_dataset(
     root = Rng(seed)
     labels = _draw_labels(n, charset, root)
 
-    def render(i):
-        return render_captcha(labels[i], spec, root.split(i).split(1))
-
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(render, range(n)))
-    else:
-        samples = [render(i) for i in range(n)]
+    samples = [render_captcha(label, spec, root.split(i).split(1))
+               for i, label in enumerate(labels)]
     return Dataset(samples, charset, spec, seed)

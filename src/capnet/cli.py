@@ -37,6 +37,20 @@ TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "adam")
 ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON value test per dataclass field type; the one tuple field is conv_filters
+_FITS = {
+    bool: lambda v: isinstance(v, bool),
+    int: _is_int,
+    float: lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+    str: lambda v: isinstance(v, str),
+    tuple: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+}
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -45,6 +59,8 @@ def _load_config(path) -> dict:
             raw = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(CONFIG_SECTIONS)
@@ -53,19 +69,36 @@ def _load_config(path) -> dict:
     return raw
 
 
+def _section(config: dict, name: str, *classes) -> dict:
+    """config[name], each value checked against its dataclass field's type."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    types = {f.name: f.type for cls in classes for f in fields(cls)}
+    for key, value in section.items():
+        fits = _FITS.get(types.get(key))
+        if fits is not None and not fits(value):
+            raise ConfigError(
+                f"config {name}.{key} must be {types[key].__name__}, got {value!r}"
+            )
+    return section
+
+
 def _resolve_seed(flag_value, config_value=None) -> int:
     """Flag wins, then CAPNET_SEED, then the config file, then 0."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("CAPNET_SEED")
-    if env is not None:
+        seed, source = flag_value, "--seed"
+    elif "CAPNET_SEED" in os.environ:
+        seed, source = os.environ["CAPNET_SEED"], "CAPNET_SEED"
         try:
-            return int(env)
+            seed = int(seed)
         except ValueError:
-            raise ConfigError(f"CAPNET_SEED must be an integer, got {env!r}")
-    if config_value is not None:
-        return config_value
-    return 0
+            pass  # rejected below, quoting the raw text
+    else:
+        seed, source = (0 if config_value is None else config_value), "train.seed"
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _charset_from_config(config: dict) -> Charset:
@@ -100,7 +133,7 @@ def _model_config_from_section(section: dict, charset_size: int) -> ModelConfig:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     charset = _charset_from_config(config)
-    spec = DistortionSpec.from_dict(config.get("distortion", {}))
+    spec = DistortionSpec.from_dict(_section(config, "distortion", DistortionSpec))
     seed = _resolve_seed(args.seed)
     dataset = generate_dataset(args.count, charset, spec, seed,
                                threads=args.threads)
@@ -114,10 +147,10 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     test_dataset = load_dataset(args.test_data) if args.test_data else None
 
-    train_section = config.get("train", {})
+    train_section = _section(config, "train", TrainConfig, AdamHyper)
     seed = _resolve_seed(args.seed, train_section.get("seed"))
     train_config = _train_config_from_section(train_section, seed)
-    model_config = _model_config_from_section(config.get("model", {}),
+    model_config = _model_config_from_section(_section(config, "model", ModelConfig),
                                               len(dataset.charset))
 
     # stream 1 of the seed fan-out initializes parameters; train() itself
@@ -221,7 +254,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a solver on a dataset")

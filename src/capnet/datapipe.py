@@ -1,4 +1,4 @@
-"""Image preprocessing, label encoding, and dataset persistence.
+"""Image normalization, label encoding, and dataset persistence.
 
 A dataset on disk is a directory of binary PGM images plus `manifest.csv`
 (per-sample label and realized distortion metadata) and `dataset.json`
@@ -8,6 +8,7 @@ bit-exact: floats are written with repr so they reparse to the same value.
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -35,51 +36,6 @@ MANIFEST_HEADER = ["id", "label", "file", "rot1", "rot2", "rot3", "rot4", "rot5"
                    "pepper_density", "gray_level"]
 
 
-def to_grayscale(rgb: np.ndarray) -> np.ndarray:
-    """Rounded per-pixel mean of the three channels (round half up)."""
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise DimensionError(f"to_grayscale expects H x W x 3 input, got shape {rgb.shape}")
-    mean = rgb.astype(np.float64).sum(axis=2) / 3.0
-    return np.floor(mean + 0.5).astype(np.uint8)
-
-
-def denoise_median3(gray: np.ndarray) -> np.ndarray:
-    """3x3 median filter with coordinate-clamped edges."""
-    if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
-        raise DimensionError(f"denoise_median3 needs an image of at least 3x3, got {gray.shape}")
-    padded = np.pad(gray, 1, mode="edge")
-    h, w = gray.shape
-    stack = np.stack(
-        [padded[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)], axis=0
-    )
-    return np.median(stack, axis=0).astype(gray.dtype)
-
-
-def resize_bilinear(gray: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    if target_h < 1 or target_w < 1:
-        raise DimensionError(f"resize target must be >= 1x1, got {target_h}x{target_w}")
-    h, w = gray.shape
-    if (h, w) == (target_h, target_w):
-        return gray.copy()
-    # corner-aligned mapping so endpoints reproduce source corner values
-    ys = np.linspace(0.0, h - 1.0, target_h) if target_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, target_w) if target_w > 1 else np.zeros(1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    img = gray.astype(np.float64)
-    out = (
-        img[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + img[np.ix_(y0, x1)] * (1 - fy) * fx
-        + img[np.ix_(y1, x0)] * fy * (1 - fx)
-        + img[np.ix_(y1, x1)] * fy * fx
-    )
-    return np.floor(out + 0.5).astype(np.uint8)
-
-
 def normalize(gray: np.ndarray) -> np.ndarray:
     """Scale bytes into [0,1] and add the single channel axis conv expects."""
     return (gray.astype(np.float64) / 255.0)[None, :, :]
@@ -95,16 +51,6 @@ def encode_label(text: str, charset: Charset) -> np.ndarray:
             raise EncodingError(f"symbol {sym!r} at position {pos} is not in the charset")
         matrix[pos, charset.index(sym)] = 1.0
     return matrix
-
-
-def decode_prediction(probs, charset: Charset) -> str:
-    probs = np.asarray(probs)
-    if probs.ndim != 2 or probs.shape[0] != TEXT_LEN or probs.shape[1] != len(charset):
-        raise DimensionError(
-            f"decode_prediction expects {TEXT_LEN} x {len(charset)} probabilities, "
-            f"got shape {probs.shape}"
-        )
-    return "".join(charset.symbols[i] for i in probs.argmax(axis=1))
 
 
 def write_pgm(path: str, image: np.ndarray):
@@ -148,6 +94,8 @@ def read_pgm(path: str) -> np.ndarray:
         raise IntegrityError(f"{path}: malformed PGM header") from None
     if maxval != 255:
         raise IntegrityError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if w < 1 or h < 1:
+        raise IntegrityError(f"{path}: PGM header declares {w}x{h} pixels")
     pixels = data[i + 1:]
     if len(pixels) != w * h:
         raise IntegrityError(
@@ -191,7 +139,7 @@ def load_dataset(path: str) -> Dataset:
     with open(sidecar_path, encoding="utf-8") as f:
         try:
             sidecar = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ManifestError(f"dataset.json is not valid JSON: {e}") from None
     if not isinstance(sidecar, dict):
         raise ManifestError("dataset.json must hold a JSON object")
@@ -206,38 +154,43 @@ def load_dataset(path: str) -> Dataset:
 
     samples = []
     seen_ids = set()
-    with open(manifest_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ManifestError(
-                f"manifest header {header} does not match expected {MANIFEST_HEADER}"
+    try:
+        with open(manifest_path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ManifestError(f"manifest.csv is unreadable: {e}") from None
+    header = rows[0] if rows else None
+    if header != MANIFEST_HEADER:
+        raise ManifestError(
+            f"manifest header {header} does not match expected {MANIFEST_HEADER}"
+        )
+    for row in rows[1:]:
+        if len(row) != len(MANIFEST_HEADER):
+            raise ManifestError(f"manifest row has {len(row)} fields: {row}")
+        sid, label, filename = row[0], row[1], row[2]
+        if sid in seen_ids:
+            raise ManifestError(f"duplicate sample id {sid}")
+        seen_ids.add(sid)
+        if len(label) != TEXT_LEN or any(s not in charset for s in label):
+            raise ValidationError(f"sample {sid}: label {label!r} not valid for charset")
+        image_path = os.path.join(path, filename)
+        if not os.path.exists(image_path):
+            raise MissingFileError(f"sample {sid}: image file {filename} is missing")
+        image = read_pgm(image_path)
+        if image.shape != (IMAGE_H, IMAGE_W):
+            raise IntegrityError(
+                f"sample {sid}: image is {image.shape[1]}x{image.shape[0]}, "
+                f"expected {IMAGE_W}x{IMAGE_H}"
             )
-        for row in reader:
-            if len(row) != len(MANIFEST_HEADER):
-                raise ManifestError(f"manifest row has {len(row)} fields: {row}")
-            sid, label, filename = row[0], row[1], row[2]
-            if sid in seen_ids:
-                raise ManifestError(f"duplicate sample id {sid}")
-            seen_ids.add(sid)
-            if len(label) != TEXT_LEN or any(s not in charset for s in label):
-                raise ValidationError(f"sample {sid}: label {label!r} not valid for charset")
-            image_path = os.path.join(path, filename)
-            if not os.path.exists(image_path):
-                raise MissingFileError(f"sample {sid}: image file {filename} is missing")
-            image = read_pgm(image_path)
-            if image.shape != (IMAGE_H, IMAGE_W):
-                raise IntegrityError(
-                    f"sample {sid}: image is {image.shape[1]}x{image.shape[0]}, "
-                    f"expected {IMAGE_W}x{IMAGE_H}"
-                )
-            try:
-                rotations = tuple(float(v) for v in row[3:8])
-                density = float(row[8])
-                gray = int(row[9])
-            except ValueError:
-                raise ManifestError(f"sample {sid}: malformed numeric fields: {row}") from None
-            samples.append(
-                CaptchaSample(image, label, SampleMeta(rotations, density, gray))
-            )
+        try:
+            rotations = tuple(float(v) for v in row[3:8])
+            density = float(row[8])
+            gray = int(row[9])
+        except ValueError:
+            raise ManifestError(f"sample {sid}: malformed numeric fields: {row}") from None
+        if not all(math.isfinite(v) for v in (*rotations, density)):
+            raise ManifestError(f"sample {sid}: non-finite rotation or pepper density: {row}")
+        samples.append(
+            CaptchaSample(image, label, SampleMeta(rotations, density, gray))
+        )
     return Dataset(samples, charset, spec, seed)

@@ -172,8 +172,9 @@ class MaxPool2(Layer):
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over (batch, height, width).
 
-    Training normalizes by biased batch statistics and updates running stats
-    as running = momentum * running + (1 - momentum) * batch; inference uses
+    Every training forward normalizes by biased batch statistics, never reads
+    the running stats, and updates them as
+    running = momentum * running + (1 - momentum) * batch; inference uses
     the running statistics only.
     """
 
@@ -190,8 +191,6 @@ class BatchNorm2d(Layer):
         self.beta = Parameter(f"{name}.beta", init_weights((channels,), "zeros"))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        # evaluation hook: training forward without touching running stats
-        self.update_running = True
         self._cache = None
 
     def parameters(self):
@@ -209,9 +208,8 @@ class BatchNorm2d(Layer):
                 )
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            if self.update_running:
-                self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-                self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         else:
             mean = self.running_mean
             var = self.running_var

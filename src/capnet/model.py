@@ -40,6 +40,8 @@ FORMAT_VERSION = 1
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
+PREDICT_BATCH = 64  # samples per inference forward
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -192,7 +194,7 @@ class CapNet:
         for d in self._dropouts:
             d.rng = rng
 
-    def forward(self, x, training: bool = False, freeze_stats: bool = False):
+    def forward(self, x, training: bool = False):
         """Run the trunk and all five heads; returns a list of B x K arrays."""
         x = np.asarray(x)
         expected = (1, self.config.image_h, self.config.image_w)
@@ -205,8 +207,6 @@ class CapNet:
             raise DegenerateBatchError(
                 f"training forward needs batch >= 2 for batch statistics, got {x.shape[0]}"
             )
-        for bn in self._batchnorms:
-            bn.update_running = not freeze_stats
         out = x.astype(self.dtype, copy=False)
         for layer in self.trunk:
             out = layer.forward(out, training=training)
@@ -231,11 +231,11 @@ class CapNet:
             d = layer.backward(d)
         return d
 
-    def predict_dataset(self, samples, batch_size: int = 64) -> np.ndarray:
+    def predict_dataset(self, samples) -> np.ndarray:
         """Inference probabilities for a list of samples, shaped N x 5 x K."""
         out = np.zeros((len(samples), HEADS, self.config.charset_size))
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
+        for start in range(0, len(samples), PREDICT_BATCH):
+            chunk = samples[start:start + PREDICT_BATCH]
             batch = np.stack([datapipe.normalize(s.image) for s in chunk])
             out[start:start + len(chunk)] = np.stack(self.forward(batch, training=False), axis=1)
         return out
@@ -336,11 +336,11 @@ def train(model: CapNet, dataset, config: TrainConfig, test_dataset=None,
     return History(records)
 
 
-def _predict_arrays(model: CapNet, x, batch_size: int = 64) -> np.ndarray:
+def _predict_arrays(model: CapNet, x) -> np.ndarray:
     out = np.zeros((x.shape[0], HEADS, model.config.charset_size))
-    for start in range(0, x.shape[0], batch_size):
-        out[start:start + batch_size] = np.stack(
-            model.forward(x[start:start + batch_size], training=False), axis=1)
+    for start in range(0, x.shape[0], PREDICT_BATCH):
+        out[start:start + PREDICT_BATCH] = np.stack(
+            model.forward(x[start:start + PREDICT_BATCH], training=False), axis=1)
     return out
 
 
@@ -564,7 +564,7 @@ def load_model(path: str) -> CapNet:
         model = CapNet(ModelConfig.from_dict(blob["model"]), Charset(blob["charset"]), Rng(0))
         tensors = {name.decode("utf-8"): np.frombuffer(raw, dtype="<f4").reshape(shape)
                    for name, shape, raw in records}
-    except (ValueError, KeyError, TypeError, CapnetError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError, CapnetError) as e:
         raise ModelFormatError(f"{path}: bad config block or tensor name: {e}") from None
     for name, owner, attr in _stored_slots(model):
         if name not in tensors:

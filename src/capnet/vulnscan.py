@@ -76,21 +76,6 @@ class OracleModel:
         return out
 
 
-class ConstantModel:
-    """Test stub that always answers the same symbol, nearly one-hot."""
-
-    def __init__(self, charset, index: int = 0, delta: float = 1e-7):
-        self.charset = charset
-        self.index = index
-        self.delta = delta
-
-    def predict_dataset(self, samples) -> np.ndarray:
-        k = len(self.charset)
-        row = np.full(k, self.delta)
-        row[self.index] = 1.0 - (k - 1) * self.delta
-        return np.broadcast_to(row, (len(samples), HEADS, k)).copy()
-
-
 def _meta_missing(sample) -> list:
     missing = []
     meta = getattr(sample, "meta", None)

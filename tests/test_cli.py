@@ -287,3 +287,95 @@ class TestEntryPoint:
         code = entry(["generate", "--count", "2", "--config", str(bad),
                       "--out", str(tmp_path / "d")])
         assert code == 1
+
+
+def _set_first_rotation(data, value):
+    lines = (data / "manifest.csv").read_text().splitlines()
+    row = lines[1].split(",")
+    row[3] = value
+    lines[1] = ",".join(row)
+    (data / "manifest.csv").write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedInputs:
+    """Bad external input exits with its documented code, never a traceback."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "epochs", "2"),
+        ("train", "epochs", 2.5),
+        ("train", "batch_size", 2.5),
+        ("train", "learning_rate", "0.1"),
+        ("train", "shuffle", "no"),
+        ("model", "dense_width", "x"),
+        ("model", "conv_filters", 5),
+        ("model", "conv_filters", [4, 4, 8, "x"]),
+        ("distortion", "overlap_px", "x"),
+        ("distortion", "rotation_max_deg", "5"),
+        ("distortion", "warp_amplitude", 10 ** 400),
+        ("distortion", "text_gray_level", 60.7),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, trained, tmp_path, section,
+                                                key, value):
+        sections = {"train": {"epochs": 1, "batch_size": 10},
+                    "model": dict(DIGIT_CONFIG["model"]), "distortion": {}}
+        sections[section][key] = value
+        cfg = write_config(tmp_path, **sections)
+        if section == "distortion":
+            argv = ["generate", "--count", "2", "--out", str(tmp_path / "d")]
+        else:
+            argv = ["train", "--data", str(trained["data"]),
+                    "--model-out", str(tmp_path / "m.capn")]
+        assert entry(argv + ["--config", cfg]) == 1
+
+    @pytest.mark.parametrize("how", ["flag", "env", "config_str", "config_negative"])
+    def test_bad_seed_exits_1(self, trained, tmp_path, monkeypatch, how):
+        argv = ["train", "--data", str(trained["data"]),
+                "--model-out", str(tmp_path / "m.capn")]
+        train = {"epochs": 1, "batch_size": 10}
+        if how == "flag":
+            argv += ["--seed", "-1"]
+        elif how == "env":
+            monkeypatch.setenv("CAPNET_SEED", "-1")
+        else:
+            train["seed"] = "x" if how == "config_str" else -1
+        assert entry(argv + ["--config", write_config(tmp_path, train=train)]) == 1
+
+    def test_deeply_nested_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000)
+        code = entry(["generate", "--count", "2", "--config", str(cfg),
+                      "--out", str(tmp_path / "d")])
+        assert code == 1
+
+    def test_deeply_nested_sidecar_exits_2(self, trained, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        (data / "dataset.json").write_text("[" * 200_000)
+        code = entry(["eval", "--oracle", "--data", str(data),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    def test_deeply_nested_model_config_exits_2(self, trained, tmp_path):
+        block = b"[" * 200_000
+        data = b"CAPN" + struct.pack("<II", 1, len(block)) + block + struct.pack("<I", 0)
+        path = tmp_path / "m.capn"
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        code = entry(["eval", "--model", str(path), "--data", str(trained["data"]),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: (d / "00000.pgm").write_bytes(b"P5\n-100 -50\n255\n" + bytes(5000)),
+        lambda d: (d / "manifest.csv").write_bytes(
+            (d / "manifest.csv").read_bytes().replace(b"\n0,", b"\n0,\xff", 1)),
+        lambda d: _set_first_rotation(d, "nan"),
+        lambda d: (d / "manifest.csv").write_bytes(
+            (d / "manifest.csv").read_bytes() + b"x" * 200_000 + b"\n"),
+    ], ids=["pgm_negative_size", "manifest_0xff", "rotation_nan", "csv_field_limit"])
+    def test_damaged_dataset_dir_exits_2(self, trained, tmp_path, damage):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        damage(data)
+        code = entry(["eval", "--oracle", "--data", str(data),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2

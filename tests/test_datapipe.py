@@ -7,108 +7,20 @@ from numpy.testing import assert_array_equal
 
 from capnet.capgen import Charset, DistortionSpec, generate_dataset
 from capnet.datapipe import (
-    decode_prediction,
-    denoise_median3,
     encode_label,
     load_dataset,
     normalize,
     read_pgm,
-    resize_bilinear,
     save_dataset,
-    to_grayscale,
     write_pgm,
 )
 from capnet.errors import (
-    DimensionError,
     EncodingError,
     IntegrityError,
     ManifestError,
     MissingFileError,
     ValidationError,
 )
-from capnet.tensor import Rng
-
-
-class TestToGrayscale:
-    def test_equal_channels(self):
-        rgb = np.full((2, 2, 3), 100, dtype=np.uint8)
-        assert_array_equal(to_grayscale(rgb), np.full((2, 2), 100))
-
-    def test_analytic_mean(self):
-        rgb = np.zeros((1, 1, 3), dtype=np.uint8)
-        rgb[0, 0] = (0, 0, 255)
-        assert to_grayscale(rgb)[0, 0] == 85
-
-    def test_rounds_half_up(self):
-        rgb = np.zeros((1, 1, 3), dtype=np.uint8)
-        rgb[0, 0] = (1, 1, 2)  # mean 4/3 = 1.33 -> 1
-        assert to_grayscale(rgb)[0, 0] == 1
-        rgb[0, 0] = (1, 2, 2)  # mean 5/3 = 1.67 -> 2
-        assert to_grayscale(rgb)[0, 0] == 2
-
-    def test_idempotent_on_replicated_gray(self):
-        gray = np.random.default_rng(0).integers(0, 256, size=(5, 7)).astype(np.uint8)
-        rgb = np.repeat(gray[:, :, None], 3, axis=2)
-        assert_array_equal(to_grayscale(rgb), gray)
-
-    def test_channel_count_checked(self):
-        with pytest.raises(DimensionError):
-            to_grayscale(np.zeros((4, 4, 4), dtype=np.uint8))
-        with pytest.raises(DimensionError):
-            to_grayscale(np.zeros((4, 4), dtype=np.uint8))
-
-
-class TestDenoiseMedian3:
-    def test_constant_unchanged(self):
-        img = np.full((5, 5), 91, dtype=np.uint8)
-        assert_array_equal(denoise_median3(img), img)
-
-    def test_removes_single_pepper_pixel(self):
-        img = np.full((5, 5), 200, dtype=np.uint8)
-        img[2, 2] = 0
-        assert_array_equal(denoise_median3(img), np.full((5, 5), 200))
-
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(10, 10)).astype(np.uint8)
-        h, w = img.shape
-        expected = np.zeros_like(img)
-        for y in range(h):
-            for x in range(w):
-                window = []
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        yy = min(max(y + dy, 0), h - 1)
-                        xx = min(max(x + dx, 0), w - 1)
-                        window.append(img[yy, xx])
-                expected[y, x] = sorted(window)[4]
-        assert_array_equal(denoise_median3(img), expected)
-
-    def test_too_small(self):
-        with pytest.raises(DimensionError):
-            denoise_median3(np.zeros((2, 5), dtype=np.uint8))
-
-
-class TestResizeBilinear:
-    def test_identity(self):
-        img = np.random.default_rng(2).integers(0, 256, size=(6, 9)).astype(np.uint8)
-        assert_array_equal(resize_bilinear(img, 6, 9), img)
-
-    def test_constant_stays_constant(self):
-        img = np.full((4, 4), 77, dtype=np.uint8)
-        assert_array_equal(resize_bilinear(img, 7, 11), np.full((7, 11), 77))
-
-    def test_checkerboard_corners_preserved(self):
-        img = np.array([[0, 255], [255, 0]], dtype=np.uint8)
-        out = resize_bilinear(img, 4, 4)
-        assert out[0, 0] == 0
-        assert out[0, 3] == 255
-        assert out[3, 0] == 255
-        assert out[3, 3] == 0
-
-    def test_target_validated(self):
-        with pytest.raises(DimensionError):
-            resize_bilinear(np.zeros((4, 4), dtype=np.uint8), 0, 4)
 
 
 class TestNormalize:
@@ -155,42 +67,6 @@ class TestEncodeLabel:
     def test_wrong_length(self):
         with pytest.raises(ValidationError):
             encode_label("abc", Charset())
-
-
-class TestDecodePrediction:
-    def test_one_hot_round_trip(self):
-        cs = Charset()
-        assert decode_prediction(encode_label("3a8b9", cs), cs) == "3a8b9"
-
-    def test_uniform_head_ties_to_symbol_zero(self):
-        cs = Charset()
-        probs = encode_label("zzzzz", cs)
-        probs[2] = np.full(36, 1.0 / 36)
-        assert decode_prediction(probs, cs) == "zz0zz"
-
-    def test_round_trip_random_strings(self):
-        cs = Charset()
-        rng = Rng(3)
-        for _ in range(1000):
-            text = "".join(cs.symbols[i] for i in rng.integers(0, 36, size=5))
-            assert decode_prediction(encode_label(text, cs), cs) == text
-
-    def test_exhaustive_k2(self):
-        cs = Charset("01")
-        for n in range(32):
-            text = format(n, "05b")
-            assert decode_prediction(encode_label(text, cs), cs) == text
-
-    def test_rescaling_invariance(self):
-        cs = Charset()
-        rng = np.random.default_rng(4)
-        probs = rng.uniform(0.01, 1.0, size=(5, 36))
-        scaled = probs * rng.uniform(0.5, 3.0, size=(5, 1))
-        assert decode_prediction(probs, cs) == decode_prediction(scaled, cs)
-
-    def test_shape_checked(self):
-        with pytest.raises(DimensionError):
-            decode_prediction(np.zeros((5, 10)), Charset())
 
 
 class TestPgm:

@@ -11,15 +11,24 @@ from capnet.capgen import (
     generate_dataset,
 )
 from capnet.errors import DimensionError, ValidationError
-from capnet.vulnscan import (
-    ConstantModel,
-    OracleModel,
-    analyze,
-    emit_report,
-    uncertainty,
-)
+from capnet.vulnscan import HEADS, OracleModel, analyze, emit_report, uncertainty
 
 DIGITS = Charset("0123456789")
+
+
+class ConstantModel:
+    """Stub that always answers the same symbol, nearly one-hot."""
+
+    def __init__(self, charset, index: int = 0, delta: float = 1e-7):
+        self.charset = charset
+        self.index = index
+        self.delta = delta
+
+    def predict_dataset(self, samples) -> np.ndarray:
+        k = len(self.charset)
+        row = np.full(k, self.delta)
+        row[self.index] = 1.0 - (k - 1) * self.delta
+        return np.broadcast_to(row, (len(samples), HEADS, k)).copy()
 
 # dyadic probabilities so the head ratios (and their mean) are exact floats
 WORKED_HEADS = np.array([
