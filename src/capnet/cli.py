@@ -114,6 +114,9 @@ def _train_config_from_section(section: dict, seed: int) -> TrainConfig:
     unknown = set(section) - set(TRAIN_KEYS) - set(ADAM_KEYS)
     if unknown:
         raise ConfigError(f"unknown train config key(s): {sorted(unknown)}")
+    adam_only = sorted(set(section) & (set(ADAM_KEYS) - {"learning_rate"}))
+    if section.get("optimizer") == "sgd" and adam_only:
+        raise ConfigError(f"train key(s) {adam_only} apply only to optimizer 'adam'")
     adam = AdamHyper(**{k: section[k] for k in ADAM_KEYS if k in section})
     kwargs = {k: section[k] for k in TRAIN_KEYS if k in section}
     kwargs["seed"] = seed

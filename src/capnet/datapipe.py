@@ -29,6 +29,7 @@ from .errors import (
     IntegrityError,
     ManifestError,
     MissingFileError,
+    ParameterError,
     ValidationError,
 )
 
@@ -51,6 +52,16 @@ def encode_label(text: str, charset: Charset) -> np.ndarray:
             raise EncodingError(f"symbol {sym!r} at position {pos} is not in the charset")
         matrix[pos, charset.index(sym)] = 1.0
     return matrix
+
+
+def check_charset(charset: Charset, dataset):
+    """Reject a dataset whose recorded charset is not the model's charset."""
+    theirs = getattr(dataset, "charset", None)
+    if theirs is not None and theirs.symbols != charset.symbols:
+        raise ValidationError(
+            f"model charset {charset.symbols!r} does not match "
+            f"dataset charset {theirs.symbols!r}"
+        )
 
 
 def write_pgm(path: str, image: np.ndarray):
@@ -149,8 +160,11 @@ def load_dataset(path: str) -> Dataset:
         seed = sidecar["seed"]
     except KeyError as e:
         raise ManifestError(f"dataset.json missing key {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ParameterError, ValidationError) as e:
         raise ManifestError(f"dataset.json has a malformed charset or spec: {e}") from None
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ManifestError(f"dataset.json seed must be a non-negative integer or null, "
+                            f"got {seed!r}")
 
     samples = []
     seen_ids = set()
@@ -188,8 +202,10 @@ def load_dataset(path: str) -> Dataset:
             gray = int(row[9])
         except ValueError:
             raise ManifestError(f"sample {sid}: malformed numeric fields: {row}") from None
-        if not all(math.isfinite(v) for v in (*rotations, density)):
-            raise ManifestError(f"sample {sid}: non-finite rotation or pepper density: {row}")
+        if not (all(map(math.isfinite, rotations)) and 0.0 <= density <= 1.0
+                and 0 <= gray <= 255):
+            raise ManifestError(f"sample {sid}: a rotation is not finite, or the pepper "
+                                f"density or gray level is out of range: {row}")
         samples.append(
             CaptchaSample(image, label, SampleMeta(rotations, density, gray))
         )

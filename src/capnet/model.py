@@ -363,12 +363,7 @@ def evaluate(model, dataset) -> Metrics:
     """Inference-mode metrics; works for any model exposing predict_dataset."""
     if len(dataset) == 0:
         raise ValidationError("cannot evaluate an empty dataset")
-    charset = getattr(dataset, "charset", None)
-    if charset is not None and charset.symbols != model.charset.symbols:
-        raise ValidationError(
-            f"model charset {model.charset.symbols!r} does not match "
-            f"dataset charset {charset.symbols!r}"
-        )
+    datapipe.check_charset(model.charset, dataset)
     samples = list(dataset)
     probs = model.predict_dataset(samples)
     y = np.stack([datapipe.encode_label(s.label, model.charset) for s in samples])

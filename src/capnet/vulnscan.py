@@ -5,6 +5,9 @@ between the second-highest and highest softmax probability: 1 means the
 model cannot separate its top two candidates, values near 0 mean it is
 confident. The analyzer buckets correctness by the realized distortion
 metadata so a CAPTCHA designer can see which knobs actually hurt the model.
+It is one array pass over the N x 5 predicted and true symbol indices: one
+bincount gives the confusion matrix, and one bincount per distortion axis
+gives that axis's accuracy table.
 """
 
 import csv
@@ -15,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .capgen import TEXT_LEN as HEADS  # one softmax head per text position
-from .datapipe import encode_label
+from .datapipe import check_charset, encode_label
 from .errors import DimensionError, ValidationError
 
 ROTATION_BUCKET_DEG = 5.0
@@ -90,20 +93,15 @@ def _meta_missing(sample) -> list:
     return missing
 
 
-def _bucket_table(tallies: dict, width: float, as_int: bool) -> list:
-    table = []
-    for idx in sorted(tallies):
-        count, correct = tallies[idx]
-        lo = idx * width
-        hi = (idx + 1) * width
-        table.append({
-            "lo": int(lo) if as_int else float(lo),
-            "hi": int(hi) if as_int else float(hi),
-            "count": count,
-            "correct": correct,
-            "accuracy": correct / count,
-        })
-    return table
+def _bucket_table(values, hits, width, as_int: bool) -> list:
+    """Count and accuracy per occupied bucket [k*width, (k+1)*width), by k."""
+    keys, inverse = np.unique(np.floor_divide(values, width), return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(keys)).tolist()
+    corrects = np.bincount(inverse[hits], minlength=len(keys)).tolist()
+    cast = int if as_int else float
+    return [{"lo": cast(int(key) * width), "hi": cast((int(key) + 1) * width),
+             "count": count, "correct": correct, "accuracy": correct / count}
+            for key, count, correct in zip(keys.tolist(), counts, corrects)]
 
 
 def analyze(model, dataset) -> VulnReport:
@@ -111,64 +109,43 @@ def analyze(model, dataset) -> VulnReport:
     samples = list(dataset)
     if not samples:
         raise ValidationError("cannot analyze an empty dataset")
+    charset = model.charset
+    check_charset(charset, dataset)
     for sample in samples:
         missing = _meta_missing(sample)
         if missing:
             raise ValidationError(
                 f"sample {sample.label!r} lacks generation meta field(s): {missing}"
             )
-    charset = model.charset
+    true = np.stack([encode_label(s.label, charset) for s in samples]).argmax(axis=2)
     probs = model.predict_dataset(samples)
+    pred = probs.argmax(axis=2)
+    hit = pred == true
+    full = hit.all(axis=1)
 
-    confusion = {}
-    rot_tally = {}
-    gray_tally = {}
-    pepper_tally = {}
-    eta_correct = []
-    eta_incorrect = []
-
-    for i, sample in enumerate(samples):
-        pred_idx = probs[i].argmax(axis=1)
-        pred = "".join(charset.symbols[j] for j in pred_idx)
-        full_correct = pred == sample.label
-
-        for pos in range(HEADS):
-            true_sym = sample.label[pos]
-            pred_sym = pred[pos]
-            confusion.setdefault(true_sym, {}).setdefault(pred_sym, 0)
-            confusion[true_sym][pred_sym] += 1
-            rot_idx = int(abs(sample.meta.rotations[pos]) // ROTATION_BUCKET_DEG)
-            count, correct = rot_tally.get(rot_idx, (0, 0))
-            rot_tally[rot_idx] = (count + 1, correct + (true_sym == pred_sym))
-
-        gray_idx = int(sample.meta.gray_level) // GRAY_BUCKET
-        count, correct = gray_tally.get(gray_idx, (0, 0))
-        gray_tally[gray_idx] = (count + 1, correct + full_correct)
-
-        pepper_idx = int(sample.meta.pepper_density // PEPPER_BUCKET)
-        count, correct = pepper_tally.get(pepper_idx, (0, 0))
-        pepper_tally[pepper_idx] = (count + 1, correct + full_correct)
-
-        eta = uncertainty(probs[i]).eta
-        (eta_correct if full_correct else eta_incorrect).append(eta)
-
-    pairs = [
-        {"true": t, "predicted": p, "count": c}
-        for t, row in confusion.items()
-        for p, c in row.items()
-        if t != p
-    ]
+    k = len(charset)
+    matrix = np.bincount((true * k + pred).ravel(), minlength=k * k).reshape(k, k)
+    sym = charset.symbols
+    confusion = {sym[t]: {sym[p]: int(matrix[t, p]) for p in np.flatnonzero(matrix[t])}
+                 for t in np.flatnonzero(matrix.sum(axis=1))}
+    pairs = [{"true": sym[t], "predicted": sym[p], "count": int(matrix[t, p])}
+             for t, p in zip(*np.nonzero(matrix)) if t != p]
     pairs.sort(key=lambda e: (-e["count"], e["true"], e["predicted"]))
 
+    rotations = np.abs(np.array([s.meta.rotations for s in samples]))
+    gray = np.array([int(s.meta.gray_level) for s in samples])
+    pepper = np.array([s.meta.pepper_density for s in samples])
+    eta = np.array([uncertainty(p).eta for p in probs])
     return VulnReport(
         n_samples=len(samples),
         confusion_counts=confusion,
-        accuracy_by_rotation=_bucket_table(rot_tally, ROTATION_BUCKET_DEG, as_int=True),
-        accuracy_by_gray_level=_bucket_table(gray_tally, GRAY_BUCKET, as_int=True),
-        accuracy_by_pepper_density=_bucket_table(pepper_tally, PEPPER_BUCKET, as_int=False),
+        accuracy_by_rotation=_bucket_table(rotations.ravel(), hit.ravel(),
+                                           ROTATION_BUCKET_DEG, as_int=True),
+        accuracy_by_gray_level=_bucket_table(gray, full, GRAY_BUCKET, as_int=True),
+        accuracy_by_pepper_density=_bucket_table(pepper, full, PEPPER_BUCKET, as_int=False),
         top_confusable_pairs=pairs,
-        mean_eta_correct=float(np.mean(eta_correct)) if eta_correct else None,
-        mean_eta_incorrect=float(np.mean(eta_incorrect)) if eta_incorrect else None,
+        mean_eta_correct=float(eta[full].mean()) if full.any() else None,
+        mean_eta_incorrect=float(eta[~full].mean()) if not full.all() else None,
     )
 
 

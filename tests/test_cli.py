@@ -220,7 +220,16 @@ class TestCorruptInputs:
         lambda sidecar: {**sidecar, "charset": 5},
         lambda sidecar: {**sidecar, "spec": {"overlap_px": "x"}},
         lambda sidecar: [sidecar],
-    ], ids=["spec_list", "charset_int", "overlap_px_str", "top_level_list"])
+        lambda sidecar: {**sidecar, "seed": "x"},
+        lambda sidecar: {**sidecar, "seed": -3},
+        lambda sidecar: {**sidecar, "seed": 1.5},
+        lambda sidecar: {**sidecar, "spec": {"overlap_px": -1}},
+        lambda sidecar: {**sidecar, "spec": {"pepper_density": 2.0}},
+        lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "blur": 1}},
+        lambda sidecar: {**sidecar, "charset": "0123456780"},
+    ], ids=["spec_list", "charset_int", "overlap_px_str", "top_level_list", "seed_str",
+            "seed_negative", "seed_fraction", "overlap_px_negative", "pepper_density_2",
+            "spec_unknown_key", "charset_duplicate"])
     def test_malformed_sidecar_exits_2(self, trained, tmp_path, mangle):
         data = tmp_path / "data"
         shutil.copytree(trained["data"], data)
@@ -250,6 +259,17 @@ class TestAnalyze:
                           "--report-dir", str(report_dir)])
             assert code == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_charset_mismatch_exits_1(self, trained, tmp_path, capsys):
+        letters = tmp_path / "letters"
+        assert entry(["generate", "--count", "6", "--seed", "3", "--out", str(letters),
+                      "--config", write_config(tmp_path, charset="abcdefghij")]) == 0
+        code = entry(["analyze", "--model", str(trained["model"]), "--data", str(letters),
+                      "--report-dir", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "abcdefghij" in err and "0123456789" in err
+        assert not (tmp_path / "report").exists()
 
     def test_unwritable_report_dir_exits_2(self, trained, tmp_path):
         blocker = tmp_path / "blocker"
@@ -289,10 +309,10 @@ class TestEntryPoint:
         assert code == 1
 
 
-def _set_first_rotation(data, value):
+def _set_first_row(data, column, value):
     lines = (data / "manifest.csv").read_text().splitlines()
     row = lines[1].split(",")
-    row[3] = value
+    row[lines[0].split(",").index(column)] = value
     lines[1] = ",".join(row)
     (data / "manifest.csv").write_text("\n".join(lines) + "\n")
 
@@ -340,6 +360,15 @@ class TestMalformedInputs:
             train["seed"] = "x" if how == "config_str" else -1
         assert entry(argv + ["--config", write_config(tmp_path, train=train)]) == 1
 
+    @pytest.mark.parametrize("key,code", [
+        ("beta1", 1), ("beta2", 1), ("epsilon", 1), ("learning_rate", 0),
+    ])
+    def test_adam_only_key_with_sgd_rejected(self, trained, tmp_path, key, code):
+        train = {"epochs": 1, "batch_size": 10, "optimizer": "sgd", key: 0.1}
+        argv = ["train", "--data", str(trained["data"]),
+                "--model-out", str(tmp_path / "m.capn")]
+        assert entry(argv + ["--config", write_config(tmp_path, train=train)]) == code
+
     def test_deeply_nested_config_exits_1(self, tmp_path):
         cfg = tmp_path / "deep.json"
         cfg.write_text("[" * 200_000)
@@ -368,10 +397,15 @@ class TestMalformedInputs:
         lambda d: (d / "00000.pgm").write_bytes(b"P5\n-100 -50\n255\n" + bytes(5000)),
         lambda d: (d / "manifest.csv").write_bytes(
             (d / "manifest.csv").read_bytes().replace(b"\n0,", b"\n0,\xff", 1)),
-        lambda d: _set_first_rotation(d, "nan"),
+        lambda d: _set_first_row(d, "rot1", "nan"),
         lambda d: (d / "manifest.csv").write_bytes(
             (d / "manifest.csv").read_bytes() + b"x" * 200_000 + b"\n"),
-    ], ids=["pgm_negative_size", "manifest_0xff", "rotation_nan", "csv_field_limit"])
+        lambda d: _set_first_row(d, "gray_level", "-7"),
+        lambda d: _set_first_row(d, "gray_level", "300"),
+        lambda d: _set_first_row(d, "pepper_density", "-0.5"),
+        lambda d: _set_first_row(d, "pepper_density", "1.5"),
+    ], ids=["pgm_negative_size", "manifest_0xff", "rotation_nan", "csv_field_limit",
+            "gray_level_negative", "gray_level_300", "pepper_negative", "pepper_1.5"])
     def test_damaged_dataset_dir_exits_2(self, trained, tmp_path, damage):
         data = tmp_path / "data"
         shutil.copytree(trained["data"], data)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.capgen import (
     CaptchaSample,
@@ -10,8 +12,17 @@ from capnet.capgen import (
     SampleMeta,
     generate_dataset,
 )
-from capnet.errors import DimensionError, ValidationError
-from capnet.vulnscan import HEADS, OracleModel, analyze, emit_report, uncertainty
+from capnet.errors import DimensionError, EncodingError, ValidationError
+from capnet.vulnscan import (
+    GRAY_BUCKET,
+    HEADS,
+    PEPPER_BUCKET,
+    ROTATION_BUCKET_DEG,
+    OracleModel,
+    analyze,
+    emit_report,
+    uncertainty,
+)
 
 DIGITS = Charset("0123456789")
 
@@ -58,6 +69,76 @@ class ProbModel:
     def predict_dataset(self, samples):
         assert len(samples) == self.probs.shape[0]
         return self.probs
+
+
+def reference_report(model, samples) -> dict:
+    """The analyzer as a plain per-sample, per-position loop: the oracle for analyze."""
+    symbols = model.charset.symbols
+    probs = model.predict_dataset(samples)
+    confusion = {}
+    tallies = {"rotation": {}, "gray": {}, "pepper": {}}
+    etas = {True: [], False: []}
+
+    def tally(axis, idx, correct):
+        count, right = tallies[axis].get(idx, (0, 0))
+        tallies[axis][idx] = (count + 1, right + correct)
+
+    for sample, heads in zip(samples, probs):
+        pred = "".join(symbols[j] for j in heads.argmax(axis=1))
+        full = pred == sample.label
+        for pos, (t, p) in enumerate(zip(sample.label, pred)):
+            row = confusion.setdefault(t, {})
+            row[p] = row.get(p, 0) + 1
+            tally("rotation", int(abs(sample.meta.rotations[pos]) // ROTATION_BUCKET_DEG), t == p)
+        tally("gray", int(sample.meta.gray_level) // GRAY_BUCKET, full)
+        tally("pepper", int(sample.meta.pepper_density // PEPPER_BUCKET), full)
+        etas[full].append(uncertainty(heads).eta)
+
+    def table(axis, width, cast):
+        return [{"lo": cast(i * width), "hi": cast((i + 1) * width), "count": count,
+                 "correct": right, "accuracy": right / count}
+                for i, (count, right) in sorted(tallies[axis].items())]
+
+    pairs = sorted(({"true": t, "predicted": p, "count": c}
+                    for t, row in confusion.items() for p, c in row.items() if t != p),
+                   key=lambda e: (-e["count"], e["true"], e["predicted"]))
+    return {
+        "n_samples": len(samples),
+        "confusion_counts": confusion,
+        "accuracy_by_rotation": table("rotation", ROTATION_BUCKET_DEG, int),
+        "accuracy_by_gray_level": table("gray", GRAY_BUCKET, int),
+        "accuracy_by_pepper_density": table("pepper", PEPPER_BUCKET, float),
+        "top_confusable_pairs": pairs,
+        "mean_eta_correct": float(np.mean(etas[True])) if etas[True] else None,
+        "mean_eta_incorrect": float(np.mean(etas[False])) if etas[False] else None,
+    }
+
+
+# values on and just below bucket edges, where a float floor is easy to get wrong
+EDGE_ROTATIONS = (0.0, -0.0, 4.999999999999999, 5.0, -5.0, 9.999999999999998, 10.0, 45.0)
+EDGE_PEPPER = (0.0, 0.019999999999999997, 0.02, 0.06000000000000001, 0.3, 1.0)
+EDGE_GRAY = (0, 15, 16, 47, 48, 255)
+
+
+@st.composite
+def analyses(draw):
+    charset = Charset("wxyz"[:draw(st.integers(2, 4))])
+    rotation = st.sampled_from(EDGE_ROTATIONS) | st.floats(-45.0, 45.0)
+    pepper = st.sampled_from(EDGE_PEPPER) | st.floats(0.0, 1.0)
+    gray = st.sampled_from(EDGE_GRAY) | st.integers(0, 255)
+    samples = [
+        make_sample(label=draw(st.text(charset.symbols, min_size=HEADS, max_size=HEADS)),
+                    rotations=draw(st.tuples(*[rotation] * HEADS)),
+                    pepper=draw(pepper), gray=draw(gray))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.random((len(samples), HEADS, len(charset))) ** 4
+    for i, sample in enumerate(samples):
+        if draw(st.booleans()):  # push this sample toward its label, so both eta means occur
+            probs[i, range(HEADS), [charset.index(c) for c in sample.label]] += 1.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    return ProbModel(charset, probs), samples
 
 
 class TestUncertainty:
@@ -194,6 +275,17 @@ class TestAnalyze:
         report = analyze(ProbModel(DIGITS, probs), samples)
         assert report.mean_eta_correct < 0.01
         assert report.mean_eta_incorrect == 1.0
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(analyses())
+    def test_matches_per_sample_reference(self, case):
+        model, samples = case
+        expected = json.dumps(reference_report(model, samples), sort_keys=True)
+        assert json.dumps(analyze(model, samples).to_dict(), sort_keys=True) == expected
+
+    def test_label_outside_model_charset_rejected(self):
+        with pytest.raises(EncodingError):
+            analyze(ConstantModel(DIGITS), [make_sample("3141a")])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
