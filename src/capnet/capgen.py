@@ -8,11 +8,11 @@ datasets regenerate bit-identically and samples could be rendered in any
 order.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RenderError, ValidationError
+from .errors import CapacityError, JsonConfig, ParameterError, RenderError, ValidationError
 from .glyphs import build_atlas
 from .tensor import Rng
 
@@ -34,6 +34,8 @@ class Charset:
     symbols: str = DEFAULT_SYMBOLS
 
     def __post_init__(self):
+        if not isinstance(self.symbols, str):
+            raise ValidationError(f"charset must be a string of symbols, got {self.symbols!r}")
         if len(self.symbols) < 1:
             raise ValidationError("charset must contain at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
@@ -50,7 +52,7 @@ class Charset:
 
 
 @dataclass(frozen=True)
-class DistortionSpec:
+class DistortionSpec(JsonConfig):
     rotation_max_deg: float = 25.0
     warp_amplitude: float = 3.0
     pepper_density: float = 0.05
@@ -74,13 +76,6 @@ class DistortionSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DistortionSpec":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown distortion keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

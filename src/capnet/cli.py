@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import gradcheck as gradcheck_mod
 from .capgen import Charset, DistortionSpec, generate_dataset
@@ -33,22 +33,7 @@ from .tensor import Rng
 from .vulnscan import OracleModel, analyze, emit_report
 
 CONFIG_SECTIONS = ("charset", "model", "train", "distortion")
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "adam")
 ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# JSON value test per dataclass field type; the one tuple field is conv_filters
-_FITS = {
-    bool: lambda v: isinstance(v, bool),
-    int: _is_int,
-    float: lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
-    str: lambda v: isinstance(v, str),
-    tuple: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
-}
 
 
 def _load_config(path) -> dict:
@@ -69,22 +54,7 @@ def _load_config(path) -> dict:
     return raw
 
 
-def _section(config: dict, name: str, *classes) -> dict:
-    """config[name], each value checked against its dataclass field's type."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    types = {f.name: f.type for cls in classes for f in fields(cls)}
-    for key, value in section.items():
-        fits = _FITS.get(types.get(key))
-        if fits is not None and not fits(value):
-            raise ConfigError(
-                f"config {name}.{key} must be {types[key].__name__}, got {value!r}"
-            )
-    return section
-
-
-def _resolve_seed(flag_value, config_value=None) -> int:
+def _resolve_seed(flag_value, config_value=0) -> int:
     """Flag wins, then CAPNET_SEED, then the config file, then 0."""
     if flag_value is not None:
         seed, source = flag_value, "--seed"
@@ -95,48 +65,42 @@ def _resolve_seed(flag_value, config_value=None) -> int:
         except ValueError:
             pass  # rejected below, quoting the raw text
     else:
-        seed, source = (0 if config_value is None else config_value), "train.seed"
-    if not _is_int(seed) or seed < 0:
+        seed, source = config_value, "train.seed"
+    if type(seed) is not int or seed < 0:
         raise ConfigError(f"{source} must be a non-negative integer, got {seed!r}")
     return seed
 
 
-def _charset_from_config(config: dict) -> Charset:
-    symbols = config.get("charset")
-    if symbols is None:
-        return Charset()
-    if not isinstance(symbols, str):
-        raise ConfigError("config section 'charset' must be a string of symbols")
-    return Charset(symbols)
-
-
-def _train_config_from_section(section: dict, seed: int) -> TrainConfig:
-    unknown = set(section) - set(TRAIN_KEYS) - set(ADAM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown train config key(s): {sorted(unknown)}")
+def _train_config(config: dict, flag_seed) -> TrainConfig:
+    """The train section as written, then the seed that --seed or CAPNET_SEED picks."""
+    section = config.get("train", {})
+    if not isinstance(section, dict):
+        raise ConfigError("config section 'train' must be a JSON object")
     adam_only = sorted(set(section) & (set(ADAM_KEYS) - {"learning_rate"}))
     if section.get("optimizer") == "sgd" and adam_only:
         raise ConfigError(f"train key(s) {adam_only} apply only to optimizer 'adam'")
-    adam = AdamHyper(**{k: section[k] for k in ADAM_KEYS if k in section})
-    kwargs = {k: section[k] for k in TRAIN_KEYS if k in section}
-    kwargs["seed"] = seed
-    return TrainConfig(adam=adam, **kwargs)
+    adam = AdamHyper.from_dict({k: v for k, v in section.items() if k in ADAM_KEYS})
+    train = TrainConfig.from_dict({k: v for k, v in section.items() if k not in ADAM_KEYS})
+    return replace(train, adam=adam, seed=_resolve_seed(flag_seed, train.seed))
 
 
-def _model_config_from_section(section: dict, charset_size: int) -> ModelConfig:
-    declared = section.get("charset_size")
-    if declared is not None and declared != charset_size:
+def _model_config(config: dict, charset_size: int) -> ModelConfig:
+    """The model section as written, then the dataset's charset size."""
+    section = config.get("model", {})
+    model = ModelConfig.from_dict(section)
+    if "charset_size" in section and model.charset_size != charset_size:
         raise ConfigError(
-            f"model charset_size {declared} does not match the dataset "
+            f"model charset_size {model.charset_size} does not match the dataset "
             f"charset ({charset_size} symbols)"
         )
-    return ModelConfig.from_dict({**section, "charset_size": charset_size})
+    return replace(model, charset_size=charset_size)
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    charset = _charset_from_config(config)
-    spec = DistortionSpec.from_dict(_section(config, "distortion", DistortionSpec))
+    symbols = config.get("charset")
+    charset = Charset() if symbols is None else Charset(symbols)
+    spec = DistortionSpec.from_dict(config.get("distortion", {}))
     seed = _resolve_seed(args.seed)
     dataset = generate_dataset(args.count, charset, spec, seed,
                                threads=args.threads)
@@ -150,15 +114,12 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     test_dataset = load_dataset(args.test_data) if args.test_data else None
 
-    train_section = _section(config, "train", TrainConfig, AdamHyper)
-    seed = _resolve_seed(args.seed, train_section.get("seed"))
-    train_config = _train_config_from_section(train_section, seed)
-    model_config = _model_config_from_section(_section(config, "model", ModelConfig),
-                                              len(dataset.charset))
+    train_config = _train_config(config, args.seed)
+    model_config = _model_config(config, len(dataset.charset))
 
     # stream 1 of the seed fan-out initializes parameters; train() itself
     # derives the shuffle and dropout streams (2 and 3) from the same seed
-    model = build_model(model_config, dataset.charset, Rng(seed).split(1))
+    model = build_model(model_config, dataset.charset, Rng(train_config.seed).split(1))
 
     def progress(record):
         print(f"epoch {record.epoch}: train_loss={record.train_loss:.6f} "

@@ -160,7 +160,7 @@ def load_dataset(path: str) -> Dataset:
         seed = sidecar["seed"]
     except KeyError as e:
         raise ManifestError(f"dataset.json missing key {e}") from None
-    except (TypeError, ValueError, ParameterError, ValidationError) as e:
+    except (ParameterError, ValidationError) as e:
         raise ManifestError(f"dataset.json has a malformed charset or spec: {e}") from None
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ManifestError(f"dataset.json seed must be a non-negative integer or null, "

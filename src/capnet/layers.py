@@ -174,19 +174,16 @@ class BatchNorm2d(Layer):
 
     Every training forward normalizes by biased batch statistics, never reads
     the running stats, and updates them as
-    running = momentum * running + (1 - momentum) * batch; inference uses
+    running = MOMENTUM * running + (1 - MOMENTUM) * batch; inference uses
     the running statistics only.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.9, epsilon: float = 1e-5, name: str = "bn"):
-        if not 0.0 < momentum < 1.0:
-            raise ParameterError(f"batchnorm momentum must lie in (0,1), got {momentum}")
-        if epsilon <= 0.0:
-            raise ParameterError(f"batchnorm epsilon must be positive, got {epsilon}")
+    MOMENTUM = 0.9
+    EPSILON = 1e-5
+
+    def __init__(self, channels: int, name: str = "bn"):
         self.name = name
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Parameter(f"{name}.gamma", init_weights((channels,), "ones"))
         self.beta = Parameter(f"{name}.beta", init_weights((channels,), "zeros"))
         self.running_mean = np.zeros(channels)
@@ -208,12 +205,12 @@ class BatchNorm2d(Layer):
                 )
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mean
+            self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         self._cache = (xhat, inv_std, training)
         return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]

@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DegenerateBatchError,
     DimensionError,
+    JsonConfig,
     ModelFormatError,
     TruncationError,
     UnsupportedVersionError,
@@ -44,7 +45,7 @@ PREDICT_BATCH = 64  # samples per inference forward
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     image_h: int = IMAGE_H
     image_w: int = IMAGE_W
     charset_size: int = 36
@@ -83,16 +84,9 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     epochs: int = 200
     batch_size: int = 32
     adam: AdamHyper = field(default_factory=AdamHyper)
@@ -301,6 +295,8 @@ def train(model: CapNet, dataset, config: TrainConfig, test_dataset=None,
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
+    datapipe.check_charset(model.charset, dataset)
+    datapipe.check_charset(model.charset, test_dataset)  # a None test set has no charset
     root = Rng(config.seed)
     shuffle_rng = root.split(2)
     model.set_dropout_rng(root.split(3))

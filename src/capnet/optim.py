@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, JsonConfig, ParameterError, ValidationError
 from .tensor import Tensor
 
 CLIP = 1e-7
 
 
 @dataclass
-class AdamHyper:
+class AdamHyper(JsonConfig):
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999

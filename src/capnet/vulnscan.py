@@ -66,16 +66,17 @@ class VulnReport:
 class OracleModel:
     """Test stub that answers with the true label, nearly one-hot."""
 
-    def __init__(self, charset, delta: float = 1e-7):
+    DELTA = 1e-7
+
+    def __init__(self, charset):
         self.charset = charset
-        self.delta = delta
 
     def predict_dataset(self, samples) -> np.ndarray:
         k = len(self.charset)
         out = np.zeros((len(samples), HEADS, k))
         for i, sample in enumerate(samples):
             one_hot = encode_label(sample.label, self.charset)
-            out[i] = one_hot * (1.0 - k * self.delta) + self.delta
+            out[i] = one_hot * (1.0 - k * self.DELTA) + self.DELTA
         return out
 
 

@@ -4,13 +4,20 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capnet.capgen import Charset
+from capnet.capgen import Charset, DistortionSpec
 from capnet.cli import entry
+from capnet.errors import CapnetError
 from capnet.model import ModelConfig, build_model, save_model
 from capnet.tensor import Rng
+
+NAN = float("nan")
+INF = float("inf")
 
 DIGIT_CONFIG = {
     "charset": "0123456789",
@@ -137,6 +144,19 @@ class TestTrain:
                       "--config", cfg, "--model-out", str(tmp_path / "m")])
         assert code == 1
 
+    def test_test_data_charset_mismatch_exits_1(self, tmp_path, trained, capsys):
+        reversed_digits = tmp_path / "reversed"
+        assert entry(["generate", "--count", "4", "--seed", "2", "--out", str(reversed_digits),
+                      "--config", write_config(tmp_path, charset="9876543210")]) == 0
+        cfg = write_config(tmp_path, "train.json", train={"epochs": 1, "batch_size": 10})
+        code = entry(["train", "--data", str(trained["data"]),
+                      "--test-data", str(reversed_digits), "--config", cfg,
+                      "--model-out", str(tmp_path / "m.capn")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "9876543210" in err and "0123456789" in err
+        assert not (tmp_path / "m.capn").exists()
+
     def test_unknown_train_key_rejected(self, tmp_path, trained):
         cfg = write_config(tmp_path, train={"epochs": 1, "momentum": 0.9})
         code = entry(["train", "--data", str(trained["data"]),
@@ -194,6 +214,20 @@ def _flip_tensor_name(data):
     return data[:at] + b"\xff" + data[at + 1:]
 
 
+def _with_config_block(data, block):
+    """A model file's bytes with its config block replaced (lengths kept valid)."""
+    n = struct.unpack_from("<I", data, 8)[0]
+    return data[:8] + struct.pack("<I", len(block)) + block + data[12 + n:]
+
+
+def _edit_config_block(old, new):
+    def flip(data):
+        block = data[12:12 + struct.unpack_from("<I", data, 8)[0]]
+        assert old in block
+        return _with_config_block(data, block.replace(old, new, 1))
+    return flip
+
+
 class TestCorruptInputs:
     """A damaged model file or dataset.json exits 2, never with a traceback."""
 
@@ -201,7 +235,11 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("flip", [
         lambda data: data.replace(b'"dense_width":8', b'"dense_width":0', 1),
         _flip_tensor_name,
-    ], ids=["dense_width_0", "tensor_name_0xff"])
+        _edit_config_block(b'"dense_width":8', b'"dense_width":8.0'),
+        _edit_config_block(b'"charset_size":3', b'"charset_size":3.0'),
+        _edit_config_block(b'"conv_filters":[2,2,2,2]', b'"conv_filters":[2.9,2,2,2]'),
+    ], ids=["dense_width_0", "tensor_name_0xff", "dense_width_8.0", "charset_size_3.0",
+            "conv_filters_2.9"])
     def test_corrupt_model_exits_2(self, trained, tmp_path, flip, fix_crc):
         config = ModelConfig(image_h=16, image_w=16, charset_size=3,
                              conv_filters=(2, 2, 2, 2), dense_width=8)
@@ -227,9 +265,15 @@ class TestCorruptInputs:
         lambda sidecar: {**sidecar, "spec": {"pepper_density": 2.0}},
         lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "blur": 1}},
         lambda sidecar: {**sidecar, "charset": "0123456780"},
+        lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "overlap_px": 2.5}},
+        lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "text_gray_level": True}},
+        lambda sidecar: {**sidecar, "charset": list(sidecar["charset"])},
+        lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "rotation_max_deg": NAN}},
+        lambda sidecar: {**sidecar, "spec": {**sidecar["spec"], "noise_sigma": INF}},
     ], ids=["spec_list", "charset_int", "overlap_px_str", "top_level_list", "seed_str",
             "seed_negative", "seed_fraction", "overlap_px_negative", "pepper_density_2",
-            "spec_unknown_key", "charset_duplicate"])
+            "spec_unknown_key", "charset_duplicate", "overlap_px_2.5", "text_gray_level_true",
+            "charset_list", "rotation_nan", "noise_sigma_inf"])
     def test_malformed_sidecar_exits_2(self, trained, tmp_path, mangle):
         data = tmp_path / "data"
         shutil.copytree(trained["data"], data)
@@ -333,6 +377,7 @@ class TestMalformedInputs:
         ("distortion", "rotation_max_deg", "5"),
         ("distortion", "warp_amplitude", 10 ** 400),
         ("distortion", "text_gray_level", 60.7),
+        ("model", "charset_size", 10.0),
     ])
     def test_config_value_of_wrong_type_exits_1(self, trained, tmp_path, section,
                                                 key, value):
@@ -347,7 +392,8 @@ class TestMalformedInputs:
                     "--model-out", str(tmp_path / "m.capn")]
         assert entry(argv + ["--config", cfg]) == 1
 
-    @pytest.mark.parametrize("how", ["flag", "env", "config_str", "config_negative"])
+    @pytest.mark.parametrize("how", ["flag", "env", "config_str", "config_negative",
+                                     "config_str_and_flag", "config_fraction_and_flag"])
     def test_bad_seed_exits_1(self, trained, tmp_path, monkeypatch, how):
         argv = ["train", "--data", str(trained["data"]),
                 "--model-out", str(tmp_path / "m.capn")]
@@ -357,7 +403,11 @@ class TestMalformedInputs:
         elif how == "env":
             monkeypatch.setenv("CAPNET_SEED", "-1")
         else:
-            train["seed"] = "x" if how == "config_str" else -1
+            # a valid --seed wins, but the config value is still checked as written
+            train["seed"] = {"config_str": "x", "config_negative": -1,
+                             "config_str_and_flag": "x", "config_fraction_and_flag": 1.5}[how]
+            if how.endswith("_and_flag"):
+                argv += ["--seed", "3"]
         assert entry(argv + ["--config", write_config(tmp_path, train=train)]) == 1
 
     @pytest.mark.parametrize("key,code", [
@@ -413,3 +463,81 @@ class TestMalformedInputs:
         code = entry(["eval", "--oracle", "--data", str(data),
                       "--metrics-out", str(tmp_path / "m.json")])
         assert code == 2
+
+
+def _json_values(ints, text):
+    """Any JSON value: scalars of every kind, lists of them and small objects."""
+    floats = st.floats(-3.0, 9.0) | st.sampled_from([NAN, INF, -INF, 1e308, -1e308])
+    kinds = [st.none(), st.booleans(), ints, floats, text]
+    scalars = st.one_of(kinds)
+    return st.one_of(*kinds, st.lists(scalars, max_size=5),
+                     st.lists(ints, min_size=4, max_size=4),
+                     st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+
+
+_TINY = ModelConfig(charset_size=3, conv_filters=(2, 2, 2, 2), dense_width=4, dropout_rate=0.0)
+# ints stay in -3..8, so every model built is tiny and an accepted image size
+# can only be the dataset's 50x200 (-3..8 collapses through four poolings);
+# strings stay short because a digit string can become a filter count
+_MODEL_VALUES = _json_values(st.integers(-3, 8), st.text(max_size=2) | st.just("float64"))
+_SPEC_VALUES = _json_values(st.integers(-3, 300) | st.sampled_from([2 ** 63, 10 ** 400]),
+                            st.text(max_size=4))
+
+
+@pytest.fixture(scope="module")
+def abc_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("json_rule")
+    assert entry(["generate", "--count", "2", "--seed", "4", "--out", str(root / "data"),
+                  "--config", write_config(root, charset="abc")]) == 0
+    shutil.copytree(root / "data", root / "spec_data")  # its dataset.json gets rewritten
+    return root
+
+
+class TestOneJsonRule:
+    """--config, dataset.json and a model file's config block accept the same values.
+
+    A value either loads from all of them, or exits 1 from --config and 2 from
+    the file.
+    """
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_spec_value_accepted_alike(self, abc_data, data):
+        key = data.draw(st.sampled_from([f.name for f in fields(DistortionSpec)]))
+        value = data.draw(st.just(getattr(DistortionSpec(), key)) | _SPEC_VALUES, label=key)
+        cfg = abc_data / "spec_cfg.json"
+        cfg.write_text(json.dumps({"distortion": {key: value}}))
+        from_config = entry(["generate", "--count", "0", "--config", str(cfg),
+                             "--out", str(abc_data / "empty")])
+        sidecar_path = abc_data / "spec_data" / "dataset.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["spec"] = {**DistortionSpec().to_dict(), key: value}
+        sidecar_path.write_text(json.dumps(sidecar))
+        from_file = entry(["eval", "--oracle", "--data", str(abc_data / "spec_data"),
+                           "--metrics-out", str(abc_data / "m.json")])
+        assert (from_config, from_file) in ((0, 0), (1, 2))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_model_value_accepted_alike(self, abc_data, data):
+        key = data.draw(st.sampled_from([f.name for f in fields(ModelConfig)]))
+        value = data.draw(st.just(getattr(_TINY, key)) | _MODEL_VALUES, label=key)
+        section = {**json.loads(json.dumps(_TINY.to_dict())), key: value}
+        cfg = abc_data / "model_cfg.json"
+        cfg.write_text(json.dumps({"model": section, "train": {"epochs": 1, "batch_size": 2}}))
+        from_config = entry(["train", "--data", str(abc_data / "data"), "--config", str(cfg),
+                             "--model-out", str(abc_data / "trained.capn")])
+        # the tensors come from the value read leniently by Python, so a file
+        # whose config block is accepted also holds tensors of the right shapes
+        try:
+            model = build_model(ModelConfig(**section), Charset("abc"), Rng(0))
+        except (CapnetError, TypeError, ValueError, OverflowError):
+            model = build_model(_TINY, Charset("abc"), Rng(0))
+        path = abc_data / "m.capn"
+        save_model(model, str(path))
+        block = json.dumps({"model": section, "charset": "abc"}).encode()
+        raw = _with_config_block(path.read_bytes(), block)[:-4]
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        from_file = entry(["eval", "--model", str(path), "--data", str(abc_data / "data"),
+                           "--metrics-out", str(abc_data / "m.json")])
+        assert (from_config, from_file) in ((0, 0), (1, 2))
