@@ -6,6 +6,12 @@ sinusoidal vertical wave, horizontal glyph overlap, and Gaussian-valued
 pepper noise. Everything is a pure function of (text, spec, seed), so
 datasets regenerate bit-identically and samples could be rendered in any
 order.
+
+A sample's five glyphs are sampled together: one bilinear gather rotates all
+five design bitmaps, and one more applies the wave to all five rotated
+glyphs. Each gather reads its four taps from a zero-bordered stack and adds
+them in a fixed order, so the pixels equal those of rendering one glyph at a
+time. Design bitmaps are built once per symbol, on first use.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -120,54 +126,95 @@ def sample_text(charset: Charset, length: int = TEXT_LEN, rng: Rng | None = None
     return "".join(charset.symbols[i] for i in idx)
 
 
-def _bilinear_gather(img, ys, xs):
-    """Sample img at float coordinates, zero outside the image."""
-    h, w = img.shape
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
+def _bilinear_gather(imgs, ys, xs):
+    """Sample each image of a (G, h, w) stack at float coordinates, zero outside it.
+
+    ``ys`` and ``xs`` broadcast to (G, H, W), one H x W grid per image. The
+    stack gets a two-pixel zero border, so a tap outside an image reads +0.0
+    and adds ``wgt * 0.0 = +0.0`` to a sum of non-negative terms; the four
+    taps add in a fixed order, which gives the same bits as skipping the
+    outside taps one image at a time.
+    """
+    g, h, w = imgs.shape
+    padded = np.zeros((g, h + 4, w + 4))
+    padded[:, 2:h + 2, 2:w + 2] = imgs
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
     fy = ys - y0
     fx = xs - x0
-    out = np.zeros(ys.shape)
-    for dy, dx, wgt in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
-        yy = y0 + dy
-        xx = x0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        out[valid] += wgt[valid] * img[yy[valid], xx[valid]]
-    return out
+    # floors below -2 or above h (w) read only border zeros, like -2 and h (w)
+    yi = np.clip(y0, -2, h).astype(np.intp) + 2
+    xi = np.clip(x0, -2, w).astype(np.intp) + 2
+    base = (np.arange(g)[:, None, None] * (h + 4) + yi) * (w + 4) + xi
+    flat = padded.ravel()
+    gy = 1 - fy
+    gx = 1 - fx
+    return (gy * gx * flat.take(base)
+            + gy * fx * flat.take(base + 1)
+            + fy * gx * flat.take(base + (w + 4))
+            + fy * fx * flat.take(base + (w + 5)))
 
 
-def _rotated_glyph(design, rotation_deg: float) -> np.ndarray:
-    """Scale the design bitmap and rotate it about the canvas center."""
-    theta = np.deg2rad(rotation_deg)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    ys, xs = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
-    dy = ys - (CANVAS - 1) / 2.0
-    dx = xs - (CANVAS - 1) / 2.0
+# canvas pixel offsets from the rotation center, shared by every glyph
+_CANVAS_DY, _CANVAS_DX = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64) - (CANVAS - 1) / 2.0
+
+# design bitmap per symbol, built on first use
+_DESIGNS = {}
+
+
+def _designs(text: str) -> np.ndarray:
+    """The (len(text), DESIGN_H, DESIGN_W) stack of design bitmaps for text."""
+    new = "".join(dict.fromkeys(s for s in text if s not in _DESIGNS))
+    if new:
+        _DESIGNS.update(build_atlas(new))
+    missing = [s for s in text if s not in _DESIGNS]
+    if missing:
+        raise RenderError(f"no glyph for symbol(s) {missing!r}")
+    return np.stack([_DESIGNS[s] for s in text])
+
+
+def _rotated_glyphs(designs, rotations) -> np.ndarray:
+    """Scale each design bitmap and rotate it about the canvas center."""
+    theta = [np.deg2rad(float(r)) for r in rotations]
+    cos_t = np.array([np.cos(t) for t in theta])[:, None, None]
+    sin_t = np.array([np.sin(t) for t in theta])[:, None, None]
     # inverse rotation, then inverse scale back into design coordinates
-    rx = (cos_t * dx + sin_t * dy) / GLYPH_SCALE
-    ry = (-sin_t * dx + cos_t * dy) / GLYPH_SCALE
-    u = rx + (design.shape[1] - 1) / 2.0
-    v = ry + (design.shape[0] - 1) / 2.0
-    return _bilinear_gather(design, v, u)
+    rx = (cos_t * _CANVAS_DX + sin_t * _CANVAS_DY) / GLYPH_SCALE
+    ry = (-sin_t * _CANVAS_DX + cos_t * _CANVAS_DY) / GLYPH_SCALE
+    u = rx + (designs.shape[2] - 1) / 2.0
+    v = ry + (designs.shape[1] - 1) / 2.0
+    return _bilinear_gather(designs, v, u)
 
 
 def _round_half_up(x) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
+def _ink(designs, rotations, phase: float, spec: DistortionSpec) -> np.ndarray:
+    """Ink coverage in [0, 1] of the image: rotated, waved and overlapped glyphs."""
+    overlap = int(spec.overlap_px)
+    x_pos = [2 * overlap + i * (SLOT_W - overlap) for i in range(TEXT_LEN)]
+    top = (IMAGE_H - CANVAS) // 2
+    glyphs = _rotated_glyphs(designs, rotations)
+    cols = np.arange(CANVAS)
+    shift = spec.warp_amplitude * np.sin(
+        2.0 * np.pi * (np.array(x_pos, dtype=np.int64)[:, None] + cols) / WAVE_LEN + phase
+    )
+    # vertical wave: each column samples its glyph at a shifted row
+    src_rows = np.arange(IMAGE_H, dtype=np.float64)[:, None] - top - shift[:, None, :]
+    layers = _bilinear_gather(glyphs, src_rows, cols.astype(np.float64))
+    ink = np.zeros((IMAGE_H, IMAGE_W))
+    for x, layer in zip(x_pos, layers):
+        region = ink[:, x:x + CANVAS]
+        np.maximum(region, layer[:, : region.shape[1]], out=region)
+    return ink
+
+
 def render_captcha(text: str, spec: DistortionSpec, rng: Rng) -> CaptchaSample:
     """Render one sample; deterministic given (text, spec, rng seed)."""
     if len(text) != TEXT_LEN:
         raise ValidationError(f"text must have length {TEXT_LEN}, got {len(text)}")
-    atlas = build_atlas(text)
-    missing = [s for s in text if s not in atlas]
-    if missing:
-        raise RenderError(f"no glyph for symbol(s) {missing!r}")
+    designs = _designs(text)
 
     rot_stream = rng.split(0)
     wave_stream = rng.split(1)
@@ -176,25 +223,7 @@ def render_captcha(text: str, spec: DistortionSpec, rng: Rng) -> CaptchaSample:
     rotations = rot_stream.uniform(-spec.rotation_max_deg, spec.rotation_max_deg, size=TEXT_LEN)
     phase = float(wave_stream.uniform(0.0, 2.0 * np.pi))
 
-    overlap = int(spec.overlap_px)
-    base_x = 2 * overlap
-    top = (IMAGE_H - CANVAS) // 2
-    ink = np.zeros((IMAGE_H, IMAGE_W))
-    rows = np.arange(IMAGE_H, dtype=np.float64)[:, None]
-    for i, sym in enumerate(text):
-        glyph = _rotated_glyph(atlas[sym], float(rotations[i]))
-        x_pos = base_x + i * (SLOT_W - overlap)
-        cols = np.arange(CANVAS)
-        shift = spec.warp_amplitude * np.sin(
-            2.0 * np.pi * (x_pos + cols) / WAVE_LEN + phase
-        )
-        # vertical wave: each column samples the glyph at a shifted row
-        src_rows = rows - top - shift[None, :]
-        src_cols = np.broadcast_to(cols.astype(np.float64), (IMAGE_H, CANVAS))
-        layer = _bilinear_gather(glyph, src_rows, src_cols)
-        region = ink[:, x_pos:x_pos + CANVAS]
-        np.maximum(region, layer[:, : region.shape[1]], out=region)
-
+    ink = _ink(designs, rotations, phase, spec)
     image = BACKGROUND - ink * (BACKGROUND - int(spec.text_gray_level))
 
     mask = noise_stream.random((IMAGE_H, IMAGE_W)) < spec.pepper_density
@@ -240,8 +269,8 @@ def generate_dataset(
 
     Sample i renders from a stream keyed by (seed, i), so rendering is
     order-independent; label uniqueness is resolved in one serial pass first.
-    Samples render in order on the calling thread; ``threads`` is accepted
-    for compatibility and has no effect.
+    Samples render one ``render_captcha`` call each, in order, on the calling
+    thread; ``threads`` is accepted for compatibility and has no effect.
     """
     if n < 0:
         raise ValidationError(f"sample count must be >= 0, got {n}")

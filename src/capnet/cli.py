@@ -42,7 +42,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigError(f"config file {path} nests too deeply") from None

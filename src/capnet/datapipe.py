@@ -150,7 +150,7 @@ def load_dataset(path: str) -> Dataset:
     with open(sidecar_path, encoding="utf-8") as f:
         try:
             sidecar = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError
             raise ManifestError(f"dataset.json is not valid JSON: {e}") from None
     if not isinstance(sidecar, dict):
         raise ManifestError("dataset.json must hold a JSON object")

@@ -72,6 +72,12 @@ class ModelConfig(JsonConfig):
             raise ConfigError(f"dropout rate must lie in [0,1), got {self.dropout_rate}")
         if self.precision not in _PRECISIONS:
             raise ConfigError(f"precision must be one of {sorted(_PRECISIONS)}, got {self.precision}")
+        f = (1,) + self.conv_filters
+        shapes = [(f[i + 1], f[i], 3, 3) for i in range(4)]
+        shapes += [(self.flat_width, self.dense_width), (self.dense_width, self.charset_size)]
+        for shape in shapes:
+            if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"a weight tensor of shape {shape} is too large to allocate")
 
     @property
     def dtype(self):

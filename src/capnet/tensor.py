@@ -18,7 +18,7 @@ class Rng:
     Backed by a counter-based Philox generator keyed on (seed, spawn path).
     The same seed always reproduces the same draws, and ``split(i)`` derives
     a child stream that is independent of every sibling, so per-index streams
-    can be consumed in any order (or in parallel) with identical results.
+    can be consumed in any order with identical results.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):

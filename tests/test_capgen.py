@@ -1,12 +1,26 @@
+import hashlib
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from capnet import capgen
 from capnet.capgen import (
+    BACKGROUND,
+    CANVAS,
+    DEFAULT_SYMBOLS,
+    GLYPH_SCALE,
+    IMAGE_H,
+    IMAGE_W,
+    NOISE_MEAN,
+    SLOT_W,
+    WAVE_LEN,
     Charset,
     DistortionSpec,
+    SampleMeta,
     generate_dataset,
     render_captcha,
     sample_text,
@@ -18,6 +32,18 @@ from capnet.tensor import Rng
 # frozen on first implementation run; guard against silent renderer drift
 GOLDEN_TEXT_SEED42 = "x355e"
 GOLDEN_RENDER_CRC32 = 3504349125
+
+# SHA-256 of 200-sample default-charset sets at edge specs, taken from the
+# one-glyph-at-a-time renderer that the oracle below copies
+GOLDEN_EDGE_SETS = {
+    # the fifth glyph is cut at the right edge (x = 160..208 on a 200 canvas)
+    "overlap_0": (DistortionSpec(overlap_px=0), 11,
+                  "393d7687711d4c53cd9892c3a92b3d09f38e5d324723658b94cd1100e3a418cf"),
+    "rotation_180_warp_20": (DistortionSpec(rotation_max_deg=180.0, warp_amplitude=20.0), 12,
+                             "ca6ced79a608a95fb18d858efb198804b981770164d91b28da3c4b943afb9291"),
+    "overlap_30": (DistortionSpec(overlap_px=30), 13,
+                   "6d00cfc511b2b1327a89d12d3d93bd334c305af17c5094d7774c7ecb6dbe9b45"),
+}
 
 ZERO_SPEC = DistortionSpec(
     rotation_max_deg=0.0,
@@ -211,3 +237,128 @@ class TestGenerateDataset:
     def test_negative_count(self):
         with pytest.raises(ValidationError):
             generate_dataset(-1, Charset(), DistortionSpec(), seed=0)
+
+
+def _dataset_sha256(dataset) -> str:
+    h = hashlib.sha256()
+    for s in dataset:
+        h.update(s.label.encode())
+        h.update(s.image.tobytes())
+        meta = s.meta
+        h.update(np.array([*meta.rotations, meta.pepper_density, meta.gray_level]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EDGE_SETS))
+def test_edge_spec_sets_match_golden(name):
+    spec, seed, digest = GOLDEN_EDGE_SETS[name]
+    assert _dataset_sha256(generate_dataset(200, Charset(), spec, seed=seed)) == digest
+
+
+def test_each_design_is_built_at_most_once(monkeypatch):
+    built = []
+
+    def counting_build_atlas(symbols):
+        built.extend(symbols)
+        return build_atlas(symbols)
+
+    monkeypatch.setattr(capgen, "_DESIGNS", {}, raising=False)
+    monkeypatch.setattr(capgen, "build_atlas", counting_build_atlas)
+    dataset = generate_dataset(100, Charset(), DistortionSpec(), seed=6)
+    used = {ch for s in dataset for ch in s.label}
+    assert sorted(built) == sorted(used)
+
+
+# -- oracle: the renderer as it was, one glyph and four masked gathers at a time
+
+
+def _reference_gather(img, ys, xs):
+    h, w = img.shape
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    fy = ys - y0
+    fx = xs - x0
+    out = np.zeros(ys.shape)
+    for dy, dx, wgt in (
+        (0, 0, (1 - fy) * (1 - fx)),
+        (0, 1, (1 - fy) * fx),
+        (1, 0, fy * (1 - fx)),
+        (1, 1, fy * fx),
+    ):
+        yy = y0 + dy
+        xx = x0 + dx
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        out[valid] += wgt[valid] * img[yy[valid], xx[valid]]
+    return out
+
+
+def _reference_rotated_glyph(design, rotation_deg):
+    theta = np.deg2rad(rotation_deg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    ys, xs = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
+    dy = ys - (CANVAS - 1) / 2.0
+    dx = xs - (CANVAS - 1) / 2.0
+    rx = (cos_t * dx + sin_t * dy) / GLYPH_SCALE
+    ry = (-sin_t * dx + cos_t * dy) / GLYPH_SCALE
+    u = rx + (design.shape[1] - 1) / 2.0
+    v = ry + (design.shape[0] - 1) / 2.0
+    return _reference_gather(design, v, u)
+
+
+def _reference_ink(text, spec, rotations, phase):
+    atlas = build_atlas(text)
+    overlap = int(spec.overlap_px)
+    top = (IMAGE_H - CANVAS) // 2
+    ink = np.zeros((IMAGE_H, IMAGE_W))
+    rows = np.arange(IMAGE_H, dtype=np.float64)[:, None]
+    for i, sym in enumerate(text):
+        glyph = _reference_rotated_glyph(atlas[sym], float(rotations[i]))
+        x_pos = 2 * overlap + i * (SLOT_W - overlap)
+        cols = np.arange(CANVAS)
+        shift = spec.warp_amplitude * np.sin(2.0 * np.pi * (x_pos + cols) / WAVE_LEN + phase)
+        src_rows = rows - top - shift[None, :]
+        src_cols = np.broadcast_to(cols.astype(np.float64), (IMAGE_H, CANVAS))
+        layer = _reference_gather(glyph, src_rows, src_cols)
+        region = ink[:, x_pos:x_pos + CANVAS]
+        np.maximum(region, layer[:, : region.shape[1]], out=region)
+    return ink
+
+
+def _reference_render(text, spec, rng):
+    """(image, meta, ink) as the one-glyph-at-a-time renderer made them."""
+    rotations = rng.split(0).uniform(-spec.rotation_max_deg, spec.rotation_max_deg, size=5)
+    phase = float(rng.split(1).uniform(0.0, 2.0 * np.pi))
+    noise_stream = rng.split(2)
+    ink = _reference_ink(text, spec, rotations, phase)
+    image = BACKGROUND - ink * (BACKGROUND - int(spec.text_gray_level))
+    mask = noise_stream.random((IMAGE_H, IMAGE_W)) < spec.pepper_density
+    values = np.clip(np.floor(noise_stream.normal(NOISE_MEAN, spec.noise_sigma,
+                                                  size=(IMAGE_H, IMAGE_W)) + 0.5), 0, 255)
+    image = np.floor(image + 0.5)
+    image[mask] = values[mask]
+    meta = SampleMeta(tuple(float(r) for r in rotations), float(mask.sum()) / mask.size,
+                      int(spec.text_gray_level))
+    return image.astype(np.uint8), meta, ink, phase
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.text(alphabet=DEFAULT_SYMBOLS, min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.builds(
+        DistortionSpec,
+        rotation_max_deg=st.floats(0.0, 180.0),
+        warp_amplitude=st.floats(0.0, 20.0),
+        overlap_px=st.integers(0, 30),
+        pepper_density=st.floats(0.0, 0.99),
+        text_gray_level=st.integers(0, 255),
+    ),
+)
+def test_render_matches_one_glyph_at_a_time_oracle(text, seed, spec):
+    sample = render_captcha(text, spec, Rng(seed))
+    image, meta, ink, phase = _reference_render(text, spec, Rng(seed))
+    assert sample.image.tobytes() == image.tobytes()
+    assert sample.meta == meta
+    # the float ink too: a change in summation order rarely moves a rounded byte
+    rotations = np.array(meta.rotations)
+    assert capgen._ink(capgen._designs(text), rotations, phase, spec).tobytes() == ink.tobytes()

@@ -443,6 +443,40 @@ class TestMalformedInputs:
                       "--metrics-out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_over_long_json_integer_in_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"distortion": {"overlap_px": ' + "9" * 5000 + "}}")
+        code = entry(["generate", "--count", "2", "--config", str(cfg),
+                      "--out", str(tmp_path / "d")])
+        assert code == 1
+
+    def test_over_long_json_integer_in_sidecar_exits_2(self, trained, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        sidecar = json.loads((data / "dataset.json").read_text())
+        sidecar["spec"]["overlap_px"] = 0
+        text = json.dumps(sidecar).replace('"overlap_px": 0', '"overlap_px": ' + "9" * 5000)
+        (data / "dataset.json").write_text(text)
+        code = entry(["eval", "--oracle", "--data", str(data),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    def test_unallocatable_model_config_exits_1(self, trained, tmp_path):
+        model = {**DIGIT_CONFIG["model"], "dense_width": 10 ** 40}
+        cfg = write_config(tmp_path, model=model, train={"epochs": 1, "batch_size": 10})
+        code = entry(["train", "--data", str(trained["data"]), "--config", cfg,
+                      "--model-out", str(tmp_path / "m.capn")])
+        assert code == 1
+
+    def test_unallocatable_model_file_config_exits_2(self, trained, tmp_path):
+        flip = _edit_config_block(b'"dense_width":64', b'"dense_width":1' + b"0" * 40)
+        raw = flip(trained["model"].read_bytes())[:-4]
+        path = tmp_path / "m.capn"
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        code = entry(["eval", "--model", str(path), "--data", str(trained["data"]),
+                      "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+
     @pytest.mark.parametrize("damage", [
         lambda d: (d / "00000.pgm").write_bytes(b"P5\n-100 -50\n255\n" + bytes(5000)),
         lambda d: (d / "manifest.csv").write_bytes(

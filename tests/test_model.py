@@ -94,6 +94,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(precision="float16")
 
+    @pytest.mark.parametrize("field,value", [
+        ("dense_width", 10 ** 40),
+        ("charset_size", 10 ** 40),
+        ("image_w", 10 ** 40),
+        ("conv_filters", (4, 4, 8, 10 ** 40)),
+        ("conv_filters", (10 ** 10, 10 ** 10, 8, 8)),
+    ])
+    def test_unallocatable_weights_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{field: value})
+
     def test_dict_round_trip(self):
         assert ModelConfig.from_dict(DESK.to_dict()) == DESK
 
