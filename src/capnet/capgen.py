@@ -67,8 +67,10 @@ class DistortionSpec(JsonConfig):
     overlap_px: int = 6
 
     def __post_init__(self):
-        if self.rotation_max_deg < 0:
-            raise ParameterError(f"rotation_max_deg must be >= 0, got {self.rotation_max_deg}")
+        if not 0 <= self.rotation_max_deg <= 180:
+            raise ParameterError(
+                f"rotation_max_deg must lie in [0,180], got {self.rotation_max_deg}"
+            )
         if self.warp_amplitude < 0:
             raise ParameterError(f"warp_amplitude must be >= 0, got {self.warp_amplitude}")
         if not 0.0 <= self.pepper_density < 1.0:
@@ -77,8 +79,9 @@ class DistortionSpec(JsonConfig):
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0 <= int(self.text_gray_level) <= 255:
             raise ParameterError(f"text_gray_level must lie in 0..255, got {self.text_gray_level}")
-        if int(self.overlap_px) < 0:
-            raise ParameterError(f"overlap_px must be >= 0, got {self.overlap_px}")
+        # at SLOT_W or more the slots stop advancing and run off the left edge
+        if not 0 <= int(self.overlap_px) <= SLOT_W - 1:
+            raise ParameterError(f"overlap_px must lie in 0..{SLOT_W - 1}, got {self.overlap_px}")
 
     def to_dict(self) -> dict:
         return asdict(self)

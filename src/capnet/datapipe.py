@@ -37,9 +37,15 @@ MANIFEST_HEADER = ["id", "label", "file", "rot1", "rot2", "rot3", "rot4", "rot5"
                    "pepper_density", "gray_level"]
 
 
-def normalize(gray: np.ndarray) -> np.ndarray:
-    """Scale bytes into [0,1] and add the single channel axis conv expects."""
-    return (gray.astype(np.float64) / 255.0)[None, :, :]
+def normalize(gray: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Scale bytes into [0,1] in ``dtype`` and add the channel axis conv expects.
+
+    An H x W image gives 1 x H x W; an N x H x W stack gives N x 1 x H x W.
+    The quotient is computed in ``dtype`` directly: for every byte value the
+    float32 quotient equals the float64 one rounded to float32, so a float32
+    model sees the same input bits as it would through a float64 copy.
+    """
+    return np.divide(gray, 255.0, dtype=dtype)[..., None, :, :]
 
 
 def encode_label(text: str, charset: Charset) -> np.ndarray:

@@ -15,6 +15,18 @@ Cache lifetimes of the two large layers:
 - ``Conv2D`` keeps a reference to its input. After a training forward it also
   keeps the im2col matrix, which backward reuses and frees; an inference
   forward keeps no matrix, and backward then rebuilds it from the input.
+
+Two kernels skip work whose result nobody reads:
+
+- ``Conv2D.backward(dout, input_grad=False)`` accumulates the weight and bias
+  gradients only and returns None. The network's first convolution reads the
+  image, whose gradient no caller uses, so it skips the
+  ``(B*H*W x F) @ (F x 9C)`` matmul and the nine-tap col2im.
+- ``ReLU.forward`` builds its output as ``fmax(x, 0)`` and then adds +0.0 in
+  place, which gives the same bits as ``where(x > 0, x, 0)`` without reading
+  the mask: fmax maps NaN and every negative value to a zero, and the added
+  +0.0 turns a -0.0 into +0.0 while leaving every other value, subnormals
+  and infinities included, unchanged.
 """
 
 import numpy as np
@@ -86,7 +98,9 @@ class Conv2D(Layer):
         out += self.bias.value
         return out.reshape(b, h, w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, dout: Tensor) -> Tensor:
+    def backward(self, dout: Tensor, input_grad: bool = True) -> Tensor | None:
+        """Accumulate the weight and bias gradients; return the input's
+        gradient, or None when ``input_grad`` is False."""
         x = self._x
         b, c, h, w = x.shape
         f = self.out_channels
@@ -96,6 +110,8 @@ class Conv2D(Layer):
         self.weights.grad += matmul(dmat.T, cols).reshape(f, c, 3, 3)
         del cols
         self.bias.grad += dmat.sum(axis=0)
+        if not input_grad:
+            return None
         dcols = matmul(dmat, self.weights.value.reshape(f, -1))
         dcols = dcols.reshape(b, h, w, c, 3, 3)
         # col2im in channels-last layout, so each tap adds into a contiguous
@@ -114,7 +130,9 @@ class ReLU(Layer):
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         # gradient at exactly 0 is defined as 0, so the mask is strict
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.fmax(x, 0.0)
+        out += 0.0  # -0.0 -> +0.0, as where(mask, x, 0.0) gives
+        return out
 
     def backward(self, dout: Tensor) -> Tensor:
         return dout * self._mask

@@ -219,7 +219,12 @@ class CapNet:
         return heads
 
     def backward(self, dheads):
-        """Backpropagate one upstream gradient per head; accumulates grads."""
+        """Backpropagate one upstream gradient per head into every parameter's
+        grad; returns nothing.
+
+        The pass stops at conv1's weight and bias gradients: the gradient
+        with respect to the input image is never computed.
+        """
         dflat = None
         for head, dout in zip(self.heads, dheads):
             d = dout
@@ -227,16 +232,16 @@ class CapNet:
                 d = layer.backward(d)
             dflat = d if dflat is None else dflat + d
         d = dflat
-        for layer in reversed(self.trunk):
+        for layer in reversed(self.trunk[1:]):
             d = layer.backward(d)
-        return d
+        self.trunk[0].backward(d, input_grad=False)
 
     def predict_dataset(self, samples) -> np.ndarray:
         """Inference probabilities for a list of samples, shaped N x 5 x K."""
         out = np.zeros((len(samples), HEADS, self.config.charset_size))
         for start in range(0, len(samples), PREDICT_BATCH):
             chunk = samples[start:start + PREDICT_BATCH]
-            batch = np.stack([datapipe.normalize(s.image) for s in chunk])
+            batch = datapipe.normalize(np.stack([s.image for s in chunk]), self.dtype)
             out[start:start + len(chunk)] = np.stack(self.forward(batch, training=False), axis=1)
         return out
 
@@ -246,7 +251,7 @@ def build_model(config: ModelConfig, charset: Charset, rng: Rng) -> CapNet:
 
 
 def _dataset_arrays(model: CapNet, dataset):
-    x = np.stack([datapipe.normalize(s.image) for s in dataset]).astype(model.dtype)
+    x = datapipe.normalize(np.stack([s.image for s in dataset]), model.dtype)
     y = np.stack([datapipe.encode_label(s.label, model.charset) for s in dataset])
     return x, y.transpose(1, 0, 2)  # heads x N x K
 

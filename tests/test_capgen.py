@@ -93,6 +93,10 @@ class TestDistortionSpec:
             DistortionSpec(text_gray_level=300)
         with pytest.raises(ParameterError):
             DistortionSpec(overlap_px=-1)
+        with pytest.raises(ParameterError):
+            DistortionSpec(overlap_px=SLOT_W)
+        with pytest.raises(ParameterError):
+            DistortionSpec(rotation_max_deg=180.5)
 
     def test_dict_round_trip(self):
         spec = DistortionSpec(rotation_max_deg=10, pepper_density=0.12)

@@ -419,6 +419,33 @@ class TestMalformedInputs:
                 "--model-out", str(tmp_path / "m.capn")]
         assert entry(argv + ["--config", write_config(tmp_path, train=train)]) == code
 
+    @pytest.mark.parametrize("key,value", [
+        ("overlap_px", 40),  # every glyph would land at x=80
+        ("overlap_px", 90),  # the fifth glyph would start off the canvas and vanish
+        ("overlap_px", 150),  # two glyphs would vanish
+        ("overlap_px", 2 ** 62),  # overflowed a C long in the renderer
+        ("rotation_max_deg", 180.5),
+        ("rotation_max_deg", 1e308),  # overflowed Generator.uniform's range
+    ])
+    def test_unrenderable_spec_rejected(self, trained, tmp_path, key, value):
+        cfg = write_config(tmp_path, distortion={key: value})
+        assert entry(["generate", "--count", "1", "--config", cfg,
+                      "--out", str(tmp_path / "d")]) == 1
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        sidecar = json.loads((data / "dataset.json").read_text())
+        sidecar["spec"][key] = value
+        (data / "dataset.json").write_text(json.dumps(sidecar))
+        assert entry(["eval", "--oracle", "--data", str(data),
+                      "--metrics-out", str(tmp_path / "m.json")]) == 2
+
+    def test_widest_renderable_spec_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, distortion={"overlap_px": 39, "rotation_max_deg": 180})
+        out = tmp_path / "d"
+        assert entry(["generate", "--count", "1", "--config", cfg, "--out", str(out)]) == 0
+        assert entry(["eval", "--oracle", "--data", str(out),
+                      "--metrics-out", str(tmp_path / "m.json")]) == 0
+
     def test_deeply_nested_config_exits_1(self, tmp_path):
         cfg = tmp_path / "deep.json"
         cfg.write_text("[" * 200_000)

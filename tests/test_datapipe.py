@@ -21,6 +21,8 @@ from capnet.errors import (
     MissingFileError,
     ValidationError,
 )
+from capnet.model import ModelConfig, _dataset_arrays, build_model
+from capnet.tensor import Rng
 
 
 class TestNormalize:
@@ -42,6 +44,36 @@ class TestNormalize:
     def test_monotone(self):
         out = normalize(np.arange(256, dtype=np.uint8).reshape(1, 256))[0, 0]
         assert np.all(np.diff(out) > 0)
+
+    def test_float32_is_rounded_float64(self):
+        img = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        out = normalize(img, np.float32)
+        assert out.dtype == np.float32
+        assert out.tobytes() == normalize(img).astype(np.float32).tobytes()
+
+    def test_batch_gets_channel_axis(self):
+        batch = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+        out = normalize(batch)
+        assert out.shape == (2, 1, 3, 4)
+        assert out.tobytes() == np.stack([normalize(img) for img in batch]).tobytes()
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_model_inputs_match_per_sample_path(self, precision):
+        # 70 samples: predict_dataset runs a full and a partial batch
+        ds = generate_dataset(70, Charset("abc"), DistortionSpec(), seed=8)
+        config = ModelConfig(charset_size=3, conv_filters=(2, 2, 2, 2), dense_width=4,
+                             dropout_rate=0.0, precision=precision)
+        model = build_model(config, Charset("abc"), Rng(0))
+        want = np.stack([normalize(s.image) for s in ds]).astype(config.dtype)
+        x, _ = _dataset_arrays(model, ds)
+        assert x.dtype == config.dtype
+        assert x.tobytes() == want.tobytes()
+        batches = []
+        forward = model.forward
+        model.forward = lambda batch, training=False: (batches.append(batch), forward(batch))[1]
+        model.predict_dataset(ds.samples)
+        assert [b.dtype for b in batches] == [config.dtype] * 2
+        assert np.concatenate(batches).tobytes() == want.tobytes()
 
 
 class TestEncodeLabel:

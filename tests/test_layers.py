@@ -178,8 +178,55 @@ class TestConv2D:
         assert_array_equal(conv.weights.grad, want_dw)
         assert_array_equal(conv.bias.grad, want_db)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_without_input_grad(self, dtype):
+        rng = np.random.default_rng(14)
+        conv = _conv_of(dtype, 1, 4, seed=6)
+        x = rng.normal(size=(3, 1, 6, 5)).astype(dtype)
+        dout = rng.normal(size=(3, 4, 6, 5)).astype(dtype)
+        conv.forward(x, training=True)
+        assert conv.backward(dout, input_grad=False) is None
+        _, want_dw, want_db = conv_backward_oracle(conv, x, dout)
+        assert conv.weights.grad.tobytes() == want_dw.tobytes()
+        assert conv.bias.grad.tobytes() == want_db.tobytes()
+
+
+def _relu_input(dtype, channels_last):
+    """A 2x3x5x7 array holding NaN, +-0.0, +-inf and subnormals among normal
+    values; channels_last gives the transposed layout a convolution outputs."""
+    fi = np.finfo(dtype)
+    special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, fi.smallest_subnormal,
+               -fi.smallest_subnormal, fi.tiny / 4, -fi.tiny / 4, fi.tiny, -fi.tiny,
+               fi.max, -fi.max]
+    rng = np.random.default_rng(21)
+    flat = rng.normal(size=210).astype(dtype)
+    flat[:len(special)] = np.array(special, dtype=dtype)
+    rng.shuffle(flat)
+    # whether fmax keeps a -0.0 depends on the loop (vector body or scalar
+    # tail) that reaches it, so the last entries in memory are -0.0 too
+    flat[-16:] = -0.0
+    if channels_last:
+        return flat.reshape(2, 5, 7, 3).transpose(0, 3, 1, 2)
+    return flat.reshape(2, 3, 5, 7)
+
 
 class TestReLU:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["contiguous", "channels_last"])
+    def test_bit_identical_to_where_oracle(self, dtype, channels_last):
+        x = _relu_input(dtype, channels_last)
+        relu = ReLU()
+        out = relu.forward(x)
+        want = np.where(x > 0, x, 0.0)
+        assert out.dtype == want.dtype == dtype
+        # the layout feeds later reductions, so it must match as well
+        assert out.strides == want.strides
+        assert out.tobytes() == want.tobytes()
+        assert relu._mask.dtype == np.bool_
+        assert_array_equal(relu._mask, x > 0)
+        dout = np.random.default_rng(22).normal(size=x.shape).astype(dtype)
+        assert relu.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
+
     def test_basic(self):
         assert_array_equal(ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import xml.etree.ElementTree as ET
 
@@ -31,7 +32,8 @@ from capnet.model import (
     save_model,
     train,
 )
-from capnet.optim import SgdOptimizer
+from capnet.layers import ReLU
+from capnet.optim import AdamOptimizer, SgdOptimizer, bce_loss
 from capnet.tensor import Rng
 
 TINY = ModelConfig(
@@ -243,6 +245,79 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="rmsprop")
+
+
+class _WhereReLU(ReLU):
+    """The ReLU kernel the layer used before fmax: np.where on the mask."""
+
+    def forward(self, x, training=False):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+
+def _reference_step(model, x, y):
+    """One Adam step with the where-ReLU and conv1's full backward, which
+    also forms the gradient with respect to the input image."""
+    heads = model.forward(x, training=True)
+    grads = bce_loss(np.stack(heads), y).gradient
+    model.zero_grad()
+    dflat = None
+    for head, dout in zip(model.heads, grads):
+        d = dout
+        for layer in reversed(head):
+            d = layer.backward(d)
+        dflat = d if dflat is None else dflat + d
+    d = dflat
+    for layer in reversed(model.trunk):
+        d = layer.backward(d)
+    assert d.shape == x.shape
+    model.optimizer.step(model.parameters())
+
+
+def _model_step(model, x, y):
+    heads = model.forward(x, training=True)
+    grads = bce_loss(np.stack(heads), y).gradient
+    model.zero_grad()
+    assert model.backward(list(grads)) is None
+    model.optimizer.step(model.parameters())
+
+
+class TestTrainingStepOracle:
+    """Two Adam steps match a reference step bit for bit.
+
+    Both sides run on the same BLAS in the same process, so the comparison
+    holds on any machine.
+    """
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_two_adam_steps_bit_identical(self, precision, dropout_rate):
+        config = dataclasses.replace(TINY, precision=precision, dropout_rate=dropout_rate)
+        rng = np.random.default_rng(5)
+        x = (rng.integers(0, 256, size=(4, 1, 16, 16)) / 255.0).astype(config.dtype)
+        y = np.zeros((5, 4, 3))
+        y[np.arange(5)[:, None], np.arange(4), rng.integers(0, 3, size=(5, 4))] = 1.0
+        models = []
+        for _ in range(2):
+            m = build_model(config, TINY_CHARSET, Rng(4))
+            m.set_dropout_rng(Rng(6))
+            m.optimizer = AdamOptimizer()
+            models.append(m)
+        ref, new = models
+        for layers in [ref.trunk] + ref.heads:
+            for i, layer in enumerate(layers):
+                if isinstance(layer, ReLU):
+                    layers[i] = _WhereReLU()
+        for _ in range(2):
+            _reference_step(ref, x, y)
+            _model_step(new, x, y)
+            for pr, pn in zip(ref.parameters(), new.parameters()):
+                assert pn.grad.dtype == pr.grad.dtype == config.dtype
+                assert pn.grad.tobytes() == pr.grad.tobytes(), pn.name
+                assert pn.value.tobytes() == pr.value.tobytes(), pn.name
+                sr, sn = ref.optimizer.states[pr.name], new.optimizer.states[pn.name]
+                assert sn.m.tobytes() == sr.m.tobytes(), pn.name
+                assert sn.v.tobytes() == sr.v.tobytes(), pn.name
 
 
 class TestEvaluate:
